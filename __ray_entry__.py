@@ -93,20 +93,29 @@ def _mm_silence_segments(sf_dir: str) -> Any:
     return multimodal.silence_segments_ds(path)
 
 
-def _driver_history() -> dict[str, tuple[int, bool]]:
+def _driver_history(*, root: str | None = None,
+                    before: int | None = None
+                    ) -> dict[str, tuple[int, bool]]:
     """Per-query driver-gate history from the committed CORRECTNESS_r*.json
     files: name -> (last round with a driver row, whether ANY of those rows
-    was a real oracle compare rather than the rows-only 'no_oracle' check)."""
+    was a real oracle compare rather than the rows-only 'no_oracle' check).
+
+    root: directory holding the CORRECTNESS files (default: this module's
+    directory). before: keep only rounds < before, i.e. the history that
+    round `before`'s sample was drawn from (default: every round)."""
     import glob
     import json
     import os
     import re
 
-    here = os.path.dirname(os.path.abspath(__file__))
+    if root is None:
+        root = os.path.dirname(os.path.abspath(__file__))
     hist: dict[str, tuple[int, bool]] = {}
-    for path in sorted(glob.glob(os.path.join(here, "CORRECTNESS_r*.json"))):
+    for path in sorted(glob.glob(os.path.join(root, "CORRECTNESS_r*.json"))):
         m = re.search(r"CORRECTNESS_r(\d+)\.json$", path)
         rnd = int(m.group(1)) if m else 0
+        if before is not None and rnd >= before:
+            continue
         try:
             with open(path) as f:
                 rows = json.load(f)

@@ -6,9 +6,24 @@ ordering function IS the coverage policy: these tests pin the tier rules
 against synthetic histories, plus the side-effect-freedom of enumeration
 (round-4 advice: queries() used to call oracle_sql(), which generated the
 media fixture on import of the query list).
+
+The integration tests replay the committed CORRECTNESS_r*.json rounds:
+round N's sample is the first 50 of the order computed from rounds < N
+(_driver_history(before=N)), so each test is pinned to the round it
+describes and committing a later round's file cannot change its answer.
+Rounds 1-3 were hand-picked and are not replayed. The replay uses today's
+query list and oracle set, which is what round 4 on were drawn from.
 """
 
+import glob
+import json
+import os
+import re
+import shutil
+
 import __ray_entry__ as e
+
+ROOT = os.path.dirname(os.path.abspath(e.__file__))
 
 
 def _order(base, hist, orc):
@@ -46,24 +61,42 @@ def test_checked_tier_is_least_recently_checked_first():
     assert _order(base, hist, set(base)) == ["b", "d", "c", "a"]
 
 
-def test_round5_sample_is_50_fresh_oracle_rows():
-    """Integration against the committed CORRECTNESS files: the next driver
-    sample must be 50 never-checked entries that ALL have exact twins."""
-    names = list(e.queries())[:50]
-    hist = e._driver_history()
+def _rounds(root):
+    """round number -> path of that round's CORRECTNESS file under root."""
+    out = {}
+    for path in glob.glob(os.path.join(root, "CORRECTNESS_r*.json")):
+        m = re.search(r"CORRECTNESS_r(\d+)\.json$", path)
+        if m:
+            out[int(m.group(1))] = path
+    return out
+
+
+def _sample(root, rnd):
+    """The 50 names the gate order puts first given the rounds < rnd."""
+    hist = e._driver_history(root=root, before=rnd)
+    return e._gate_order(list(e._base_queries()), hist, e.oracle_names())[:50]
+
+
+def test_round5_sample_is_50_fresh_oracle_rows(root=None):
+    """Integration against the committed CORRECTNESS files: the round-5
+    driver sample (drawn from rounds 1-4) must be 50 never-checked entries
+    that ALL have exact twins."""
+    names = _sample(root, 5)
+    hist = e._driver_history(root=root, before=5)
     orc = e.oracle_names()
     assert len(names) == 50
     assert all(n not in hist for n in names)
     assert all(n in orc for n in names)
 
 
-def test_upgraded_entries_queue_behind_fresh_oracle():
+def test_upgraded_entries_queue_behind_fresh_oracle(root=None):
     """mm_decode / mm_media_stats were driver-sampled in round 1 before
-    their byte-math oracles existed; they must sit between the fresh tiers
-    and the checked tail so round 6 finally hash-checks them."""
-    names = list(e.queries())
-    hist = e._driver_history()
+    their byte-math oracles existed; in the round-6 order (drawn from
+    rounds 1-5) they must sit between the fresh tiers and the checked tail
+    so round 6 finally hash-checks them."""
+    hist = e._driver_history(root=root, before=6)
     orc = e.oracle_names()
+    names = e._gate_order(list(e._base_queries()), hist, orc)
     fresh_oracle = [n for n in names if n not in hist and n in orc]
     for n in ("mm_decode", "mm_media_stats"):
         assert hist[n][1] is False  # only rows-only rows so far
@@ -72,6 +105,33 @@ def test_upgraded_entries_queue_behind_fresh_oracle():
         assert names.index(n) > max(names.index(f) for f in fresh_oracle)
         compared = [m for m in names if m in hist and hist[m][1]]
         assert names.index(n) < min(names.index(m) for m in compared)
+
+
+def test_committed_rounds_replay_the_gate_order(root=None):
+    """Every auto-rotated round (4 on) sampled exactly the first 50 of the
+    order computed from the rounds before it, in that order."""
+    rounds = _rounds(root or ROOT)
+    assert {4, 5} <= set(rounds)
+    for rnd in sorted(r for r in rounds if r >= 4):
+        with open(rounds[rnd]) as f:
+            assert list(json.load(f)) == _sample(root, rnd), rnd
+
+
+def test_replay_survives_a_new_round(tmp_path):
+    """Committing the next round's file (built as the driver would, from
+    the first 50 of the current order) keeps every replayed round intact."""
+    for path in _rounds(ROOT).values():
+        shutil.copy(path, tmp_path)
+    root = str(tmp_path)
+    nxt = max(_rounds(root)) + 1
+    orc = e.oracle_names()
+    rows = {n: {"err": None if n in orc else "no_oracle"}
+            for n in _sample(root, nxt)}
+    (tmp_path / f"CORRECTNESS_r{nxt:02d}.json").write_text(json.dumps(rows))
+    assert nxt in _rounds(root)
+    test_committed_rounds_replay_the_gate_order(root)
+    test_round5_sample_is_50_fresh_oracle_rows(root)
+    test_upgraded_entries_queue_behind_fresh_oracle(root)
 
 
 def test_enumeration_is_side_effect_free(monkeypatch):
