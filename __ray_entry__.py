@@ -25,6 +25,7 @@ from rkts_migration_ray import fixtures, oracles
 from rkts_migration_ray.pipelines import bvm, docs, kg, relational
 from rkts_migration_ray.sources import readers
 from rkts_migration_ray.stages import multimodal
+from rkts_migration_ray.stages.convgroup import conv_buckets
 from rkts_migration_ray.stages.validate import validate_transcripts
 
 # the driver compares at sf0.01; make sure the oracle's parquet exists even if
@@ -209,7 +210,8 @@ def _base_queries() -> dict[str, Callable[[str], Any]]:
         "conv_flatten": kg.conv_flatten_ds,
         "kg_cooccurrence": kg.cooccurrence_ds,
         "sft_examples": kg.sft_examples_ds,
-        "kg_validate": lambda sf: validate_transcripts(readers.read_transcripts(sf)),
+        "kg_validate": lambda sf: validate_transcripts(
+            readers.read_transcripts(sf), conv_buckets(sf)),
         "kg_triples": kg.kg_triples_ds,
         "kg_ntriples": kg.ntriples_lines_ds,
         "kg_nquads": kg.nquads_lines_ds,

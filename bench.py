@@ -87,16 +87,11 @@ def run_bench(num_cpus: int) -> dict:
         timings[name] = round(time.perf_counter() - t0, 3)
         return out
 
-    # autoscaling actor pools (1, conc): let the linker pool reach every CPU
-    # — at 32 CPUs a cpus//2 cap left half the node idle during the linked
-    # stage; the pool only scales up under backlog, so low CPU counts are
-    # unaffected
-    conc = max(4, num_cpus)
     if not os.environ.get("GRAFT_HEADLINE_ONLY"):
         timed("kg_structural", lambda: kg.structural_ds(tag, include_quarantine=True).count())
         timed("kg_conv_triples", lambda: kg.conv_triples_ds(tag).count())
-        timed("kg_mentions", lambda: kg.mention_triples_ds(tag, concurrency=conc).count())
-        timed("kg_entities", lambda: kg.entity_triples_ds(tag, concurrency=conc).count())
+        timed("kg_mentions", lambda: kg.mention_triples_ds(tag).count())
+        timed("kg_entities", lambda: kg.entity_triples_ds(tag).count())
 
         # the dedup chain's end-to-end wall (banding → LSH → exact verify)
         # is tracked per round since the round-5 kernel batching
@@ -109,18 +104,15 @@ def run_bench(num_cpus: int) -> dict:
         timed("dedup_minhash_pairs", _mh)
 
     # checkpoint_linked trades one extra execution + write barrier for not
-    # recomputing explode+link in the mentions and entities branches; the
-    # branches run as separate executions in the stream writer anyway (no
-    # two-pools-in-one-DAG wedge), so both settings are safe — measured via
-    # GRAFT_CKPT_LINKED (default on, the round-1 configuration).
+    # recomputing explode+link in the mentions and entities branches —
+    # measured via GRAFT_CKPT_LINKED (default on, the round-1 configuration).
     ckpt = os.environ.get("GRAFT_CKPT_LINKED", "1") == "1"
     out_dir = f"/tmp/graft_bench_out/{tag}-{num_cpus}"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.perf_counter()
     # lazy: the linked write barrier resolves inside the mentions/entities
     # writer threads, overlapping with the structloc/conv stream writes
-    streams = kg.kg_bundle(tag, concurrency=conc, checkpoint_linked=ckpt,
-                           lazy_checkpoint=True)
+    streams = kg.kg_bundle(tag, checkpoint_linked=ckpt, lazy_checkpoint=True)
     manifest = materialize.write_graph_streams(
         streams, out_dir, n_buckets=64, resume=False,
         source=fixtures.transcripts_path(tag),

@@ -7,7 +7,7 @@ docstrings) over Parquet transcript tables
 
     read_parquet → map_batches (zero-copy Arrow extraction)
                  → groupby(conv_id).map_groups (ordering/hierarchy windows)
-                 → actor-pool entity linking (broadcast gazetteer)
+                 → entity linking as stateless tasks (broadcast gazetteer)
                  → salted groupby canonicalization merge
                  → bucket-partitioned Parquet with lineage manifests.
 

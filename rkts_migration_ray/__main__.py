@@ -6,7 +6,9 @@
     python -m rkts_migration_ray ingest   --kind dedup|embed --sf sf0.001 --index /tmp/idx --gen batch1 [--out x.parquet] [--compact]
     python -m rkts_migration_ray bench    --sf sf0.01
 
-Owns its Ray session (the only places allowed to: CLI, bench.py, tests).
+Owns its Ray session (the only places allowed to: CLI, bench.py, tests),
+started only once a command is about to run a dataset: ``query --list``,
+a missing ``--name`` and an unknown query name answer without Ray.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+
+def _query_registry() -> dict:
+    """The query registry of the repo-root driver contract file, loaded by
+    path so the CLI needs no sys.path assumptions. Starts no Ray."""
+    import importlib.util
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "__ray_entry__", os.path.join(root, "__ray_entry__.py"))
+    entry = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(entry)
+    return entry.queries()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,6 +93,18 @@ def main(argv: list[str] | None = None) -> int:
     qry.add_argument("--num-cpus", type=int, default=None)
 
     args = p.parse_args(argv)
+
+    if args.cmd == "query":
+        registry = _query_registry()
+        if args.list_only:
+            print(json.dumps(sorted(registry)))
+            return 0
+        if args.name is None:
+            qry.error("--name is required unless --list is given")
+        if args.name not in registry:
+            print(json.dumps({"error": f"unknown query {args.name!r}",
+                              "available": sorted(registry)}))
+            return 2
 
     import ray
 
@@ -144,26 +172,6 @@ def main(argv: list[str] | None = None) -> int:
                 "generations": len(docs._band_generations(args.index)),
                 "out": args.out}))
         elif args.cmd == "query":
-            # the query registry lives in the repo-root driver contract file;
-            # load it by path so the CLI needs no sys.path assumptions
-            import importlib.util
-            import os
-
-            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            spec = importlib.util.spec_from_file_location(
-                "__ray_entry__", os.path.join(root, "__ray_entry__.py"))
-            entry = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(entry)
-            registry = entry.queries()
-            if args.list_only:
-                print(json.dumps(sorted(registry)))
-                return 0
-            if args.name is None:
-                qry.error("--name is required unless --list is given")
-            if args.name not in registry:
-                print(json.dumps({"error": f"unknown query {args.name!r}",
-                                  "available": sorted(registry)}))
-                return 2
             res = registry[args.name](args.sf)
             import pandas as pd
             import pyarrow as pa_
@@ -196,9 +204,11 @@ def main(argv: list[str] | None = None) -> int:
                               "out": args.out}))
         elif args.cmd == "validate":
             from .sources import readers
+            from .stages.convgroup import conv_buckets
             from .stages.validate import validate_transcripts
 
-            df = validate_transcripts(readers.read_transcripts(args.sf)).to_pandas()
+            df = validate_transcripts(readers.read_transcripts(args.sf),
+                                      conv_buckets(args.sf)).to_pandas()
             bad = df[~(df["dense"] & df["ts_monotone"])]
             print(json.dumps({"conversations": int(len(df)),
                               "violations": int(len(bad))}))

@@ -4151,7 +4151,13 @@ def ensure_ivf_index_at(idx: str, sf_dir: str, base_mask,
     trained on the ``base_mask`` vectors (written atomically, once) plus
     ``gen-base`` holding those vectors. The building block both
     ensure_ivf_base_index (fingerprinted cache path) and the CLI ingest
-    surface use."""
+    surface use.
+
+    The base is appended only into an index with no generation yet:
+    compaction folds ``gen-base`` into ``gen-compactNNN`` and deletes it,
+    so appending it again would put every base vector in the index twice
+    (and the probe, which does not dedupe vec_id, would rank each duplicate
+    twice)."""
     cpath = os.path.join(idx, "centroids.npy")
     if not os.path.exists(cpath):
         os.makedirs(idx, exist_ok=True)
@@ -4159,7 +4165,8 @@ def ensure_ivf_index_at(idx: str, sf_dir: str, base_mask,
         tmpc = os.path.join(idx, f"centroids.tmp.{os.getpid()}.npy")
         np.save(tmpc, C)  # np.save appends .npy unless the path has it
         os.replace(tmpc, cpath)
-    append_ivf_generation(idx, sf_dir, base_mask, "base")
+    if not _ivf_generations(idx):
+        append_ivf_generation(idx, sf_dir, base_mask, "base")
     return idx
 
 

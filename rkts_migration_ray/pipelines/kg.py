@@ -4,11 +4,17 @@
       → map_batches(extract_features)        # stateless, zero-copy Arrow
       ├→ map_batches(structural_triples)     # no shuffle
       ├→ groupby(conv_id).map_groups(conv_group_triples)   # shuffle #1: conv_id
-      └→ explode mentions → MentionLinker actor pool (broadcast gazetteer)
+      └→ explode mentions → MentionLinker tasks (broadcast gazetteer)
            ├→ mention triples               # no shuffle
            └→ entity partial-dedup → groupby(entity_uri) merge  # shuffle #2
-              → EntityEmitter actor pool (broadcast props)
+              → EntityEmitter tasks (broadcast props)
       → union of all triple streams
+
+Every UDF runs as a stateless task that reads the broadcast lookups through
+``ray.put`` refs, so the whole graph is one Ray Data execution with no actor
+pools (an actor pool sized past the cluster's slots waits on actors that
+cannot start). Conv-keyed shuffles size their fan-out from the input's row
+count (``conv_buckets``).
 
 Replaces the reference's sequential two-pass driver (migrate.php:101-152) and
 its cross-pass mutable globals (ST4/ST5/ST6) with explicit Dataset edges.
@@ -21,6 +27,7 @@ from __future__ import annotations
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ..functions.arrowutils import cluster_cpus
 from ..sources import readers
 from ..stages.convgroup import (
     CONV_GROUP_COLUMNS,
@@ -44,12 +51,6 @@ from ..stages.linking import (
 )
 
 TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
-
-
-def _ncpu() -> int:
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
 def features_ds(sf_dir: str, columns: list[str] | None = None,
@@ -120,12 +121,12 @@ def structural_ds(sf_dir: str, include_quarantine: bool = False):
     return ds
 
 
-def _conv_stage(feats, cfg: PipelineConfig):
+def _conv_stage(sf_dir: str, feats, cfg: PipelineConfig):
     """Shuffle #1 (key: conv-hash bucket) + vectorized per-conv windows.
-    Fan-out resolved ONCE on the driver (scales with cluster CPUs)."""
+    Fan-out resolved ONCE on the driver, from the input's row count."""
     return (feats.select_columns(CONV_GROUP_COLUMNS)
             .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets()},
+                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                          batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(lambda df: conv_bucket_triples(
@@ -135,7 +136,7 @@ def _conv_stage(feats, cfg: PipelineConfig):
 
 
 def conv_triples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
-    return _conv_stage(features_ds(sf_dir), cfg)
+    return _conv_stage(sf_dir, features_ds(sf_dir), cfg)
 
 
 def reproduction_triples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -237,7 +238,7 @@ def role_pivot_ds(sf_dir: str):
 
     return (readers.read_transcripts(sf_dir, columns=["conv_id", "role"])
             .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets()},
+                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                          batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(pivot, batch_format="pandas"))
@@ -286,7 +287,7 @@ def conv_flatten_ds(sf_dir: str):
     return (readers.read_transcripts(
                 sf_dir, columns=["conv_id", "turn_idx", "role", "text", "tool"])
             .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets()},
+                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                          batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(flatten, batch_format="pandas"))
@@ -347,21 +348,21 @@ def sft_examples_ds(sf_dir: str, k: int = SFT_CONTEXT_TURNS):
     return (readers.read_transcripts(
                 sf_dir, columns=["conv_id", "turn_idx", "role", "text"])
             .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets()},
+                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                          batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(examples, batch_format="pandas"))
 
 
-def cooccurrence_ds(sf_dir: str, concurrency: int = 8, linked=None):
+def cooccurrence_ds(sf_dir: str, linked=None):
     """Entity co-occurrence graph: for every entity pair, the number of
     conversations that mention both — the relation-DISCOVERY primitive a KG
     pipeline runs after linking (candidate edges for a later typed-relation
     pass; the reference's analog is the cross-record KTMapping parallels).
 
     ``linked`` lets a caller that already ran (and checkpointed) the linker
-    feed its (conv_id, entity_uri) stream in instead of paying the
-    MentionLinker actor pool a second time (kg_pmi_ds does this).
+    feed its (conv_id, entity_uri) stream in instead of running the
+    explode+link stage a second time (kg_pmi_ds does this).
 
     Scale shape: (conv, entity) rows are made DISTINCT per batch before the
     conv-bucket shuffle (combiner), pairs are generated per conversation —
@@ -414,12 +415,12 @@ def cooccurrence_ds(sf_dir: str, concurrency: int = 8, linked=None):
             "n_convs": agg["n"].astype("int64")}))
 
     if linked is None:
-        linked = linked_mentions_ds(sf_dir, concurrency)
+        linked = linked_mentions_ds(sf_dir)
     return (linked
             .select_columns(["conv_id", "entity_uri"])
             .map_batches(batch_distinct, batch_format="pyarrow")
             .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets()},
+                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                          batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(conv_pairs, batch_format="pandas")
@@ -443,54 +444,37 @@ def _broadcast_lookups(sf_dir: str):
     return gaz_ref, alias_ref, props_ref
 
 
-def _pool(concurrency: int) -> tuple[int, int]:
-    """Actor-pool sizing: autoscaling with a floor of half the cap.
+def _linked(feats, gaz_ref, alias_ref):
+    """Fused explode+link (exact per-turn dedup inside the linker call — a
+    turn's mention rows never straddle a batch boundary). Stateless tasks,
+    as in _entity_emit_fn: each builds its MentionLinker from the broadcast
+    refs, so linking has no actor pool to start."""
 
-    Ramp-from-1 costs real wall time (measured 23.4 s vs 12.6 s for the sf1
-    linker at 32 CPUs — backlog-driven scale-up trails demand); a FULLY
-    fixed pool of num_cpus actors can starve co-scheduled stages (observed
-    executor wedge). Half-floor gets the fast ramp while leaving the
-    scheduler headroom."""
-    return (max(1, concurrency // 2), concurrency)
+    def link(batch):
+        return MentionLinker(gaz_ref=gaz_ref, alias_ref=alias_ref,
+                             explode=True)(batch)
+
+    return (feats.select_columns(["conv_id", "turn_idx", "mentions"])
+            .map_batches(link, batch_format="pyarrow"))
 
 
-def linked_mentions_ds(sf_dir: str, concurrency: int = 8):
-    """Fused explode+link (exact per-turn dedup inside the actor call — a
-    turn's mention rows never straddle a batch boundary)."""
+def linked_mentions_ds(sf_dir: str):
     gaz_ref, alias_ref, _ = _broadcast_lookups(sf_dir)
-    feats = (features_ds(sf_dir, columns=["conv_id", "turn_idx", "text", "role",
-                                          "tool", "ts"])
-             .select_columns(["conv_id", "turn_idx", "mentions"]))
-    return feats.map_batches(
-        MentionLinker, batch_format="pyarrow",
-        fn_constructor_kwargs={"gaz_ref": gaz_ref, "alias_ref": alias_ref,
-                               "explode": True},
-        concurrency=_pool(concurrency))
+    return _linked(features_ds(sf_dir), gaz_ref, alias_ref)
 
 
-def mention_triples_ds(sf_dir: str, concurrency: int = 8):
-    return linked_mentions_ds(sf_dir, concurrency).map_batches(
+def mention_triples_ds(sf_dir: str):
+    return linked_mentions_ds(sf_dir).map_batches(
         mention_triples, batch_format="pyarrow")
 
 
-def entity_triples_ds(sf_dir: str, concurrency: int = 8,
-                      include_quarantine: bool = True,
+def entity_triples_ds(sf_dir: str, include_quarantine: bool = True,
                       cfg: PipelineConfig = DEFAULT_CONFIG):
     """Canonicalization merge: distinct entities (combiner + groupby) then
     enrichment edges from the broadcast props map (J3/J4 + ST5→groupby)."""
-    _, _, props_ref = _broadcast_lookups(sf_dir)
-    ents = (linked_mentions_ds(sf_dir, concurrency)
-            .map_batches(entity_rows,
-                         fn_kwargs={"n_buckets": entity_buckets()},
-                         batch_format="pyarrow")
-            # post-combiner stream is tiny; shrink the sort (scales with CPUs)
-            .repartition(max(8, _ncpu() // 4))
-            .groupby("ebucket")
-            .map_groups(dedup_entities, batch_format="pandas"))
-    out = ents.map_batches(EntityEmitter, batch_format="pyarrow",
-                           fn_constructor_kwargs={"props_ref": props_ref,
-                                                  "cfg": cfg},
-                           concurrency=(1, min(4, concurrency)))
+    gaz_ref, alias_ref, props_ref = _broadcast_lookups(sf_dir)
+    out = _entities(_linked(features_ds(sf_dir), gaz_ref, alias_ref),
+                    props_ref, cfg)
     if not include_quarantine:
         out = out.map_batches(
             lambda t: t.filter(pc.invert(pc.equal(t["graph"], "G:quarantine"))),
@@ -506,6 +490,18 @@ def _entity_emit_fn(props_ref, cfg: PipelineConfig = DEFAULT_CONFIG):
         return EntityEmitter(props_ref=props_ref, cfg=cfg)(batch)
 
     return emit
+
+
+def _entities(linked, props_ref, cfg: PipelineConfig):
+    return (linked.map_batches(entity_rows,
+                               fn_kwargs={"n_buckets": entity_buckets()},
+                               batch_format="pyarrow")
+            # post-combiner stream is tiny; shrink the sort (scales w/ CPUs)
+            .repartition(max(8, cluster_cpus() // 4))
+            .groupby("ebucket")
+            .map_groups(dedup_entities, batch_format="pandas")
+            .map_batches(_entity_emit_fn(props_ref, cfg),
+                         batch_format="pyarrow"))
 
 
 _CKPT_ROOT: str | None = None
@@ -557,11 +553,13 @@ def _once(fn):
 
 
 def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-              concurrency: int = 8, ckpt_root: str | None = None,
+              ckpt_root: str | None = None,
               checkpoint_features: bool = False,
               checkpoint_linked: bool = False,
               lazy_checkpoint: bool = False) -> dict:
-    """All triple streams, checkpoint-free by default.
+    """All triple streams, checkpoint-free by default; every UDF runs as a
+    stateless task (no actor pools), so any mix of streams can share one
+    execution at any slot count.
 
     Shared subtrees (extraction; explode+link) are recomputed per consuming
     branch: they are stateless+deterministic, fully parallel, and measurably
@@ -597,33 +595,16 @@ def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     # of two parallel branches each recomputing the subtree
     structloc = feats_cl.map_batches(structural_and_location_triples,
                                      batch_format="pyarrow", zero_copy_batch=True)
-    conv = _conv_stage(feats, cfg)
+    conv = _conv_stage(sf_dir, feats, cfg)
 
     gaz_ref, alias_ref, props_ref = _broadcast_lookups(sf_dir)
-    linked = (feats.select_columns(["conv_id", "turn_idx", "mentions"])
-              .map_batches(MentionLinker, batch_format="pyarrow",
-                           fn_constructor_kwargs={"gaz_ref": gaz_ref,
-                                                  "alias_ref": alias_ref,
-                                                  "explode": True},
-                           concurrency=_pool(concurrency)))
+    linked = _linked(feats, gaz_ref, alias_ref)
 
     def _ments(linked_ds):
         return linked_ds.map_batches(mention_triples, batch_format="pyarrow")
 
-    # EntityEmitter runs as STATELESS tasks here (props dict is small; a
-    # third actor pool in one execution starves low-CPU schedules — observed
-    # executor wedge at num_cpus=8). The actor-pool variant stays available
-    # via entity_triples_ds for gazetteer-scale state.
     def _ents(linked_ds):
-        return (linked_ds.map_batches(entity_rows,
-                                      fn_kwargs={"n_buckets": entity_buckets()},
-                                      batch_format="pyarrow")
-                # post-combiner stream is tiny; shrink the sort (scales w/ CPUs)
-                .repartition(max(8, _ncpu() // 4))
-                .groupby("ebucket")
-                .map_groups(dedup_entities, batch_format="pandas")
-                .map_batches(_entity_emit_fn(props_ref, cfg),
-                             batch_format="pyarrow"))
+        return _entities(linked_ds, props_ref, cfg)
 
     if checkpoint_linked and lazy_checkpoint:
         linked_ckpt = _once(lambda: _checkpoint(linked, f"{root}/linked"))
@@ -638,7 +619,7 @@ def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
             "mentions": ments, "entities": ents, "ckpt_root": root}
 
 
-def quarantine_ds(sf_dir: str, concurrency: int = 8):
+def quarantine_ds(sf_dir: str):
     """The error channel (W6): invalid_loc / invalid_volname /
     invalid_chap_loc / self-loop rows. Chapter-location quarantine rides the
     structloc stream (emitted by structural_triples), so no extra scan."""
@@ -646,20 +627,19 @@ def quarantine_ds(sf_dir: str, concurrency: int = 8):
     def only_q(t):
         return t.filter(pc.equal(t["graph"], "G:quarantine"))
 
-    b = kg_bundle(sf_dir, concurrency=concurrency)
+    b = kg_bundle(sf_dir)
     return (b["structloc"].map_batches(only_q, batch_format="pyarrow")
             .union(b["entities"].map_batches(only_q, batch_format="pyarrow")))
 
 
-def kg_triples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                  concurrency: int = 8):
+def kg_triples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Full graph: structural ∪ locations ∪ conv-window ∪ mentions ∪
     entities (plus the quarantine graph, separated only by its graph name).
 
-    The linked-mentions stage is checkpointed so exactly ONE linker actor
-    pool exists per execution — two pools plus the grouped stages wedge the
-    scheduler at low CPU counts (observed at num_cpus=8)."""
-    b = kg_bundle(sf_dir, cfg, concurrency=concurrency, checkpoint_linked=True)
+    One lazy Dataset, so a consumer runs the whole graph as ONE execution:
+    no checkpoint barrier and no actor pool (linking and entity emission are
+    stateless tasks over the broadcast refs)."""
+    b = kg_bundle(sf_dir, cfg)
     return b["structloc"].union(b["conv"], b["mentions"], b["entities"])
 
 
@@ -697,20 +677,18 @@ def image_numbers_ds(sf_dir: str, concurrency: int = 4):
                          concurrency=(1, concurrency)))
 
 
-def ntriples_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                      concurrency: int = 8):
+def ntriples_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Full graph serialized to N-Triples lines (W2 analog: the global.nt
     stream of utils.php:833-840, escaping per Nquads.php:52-124). Map-only on
     top of kg_triples_ds; the text SINK (per-bucket .nt fragments + manifests)
     is materialize.write_graph_ntriples."""
     from ..functions.ntriples import lines_table
 
-    return kg_triples_ds(sf_dir, cfg, concurrency).map_batches(
+    return kg_triples_ds(sf_dir, cfg).map_batches(
         lines_table, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def turtle_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                    concurrency: int = 8):
+def turtle_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Full graph serialized to Turtle subject blocks — the reference's
     actual per-resource output format (editionxmltottl.php/kernelxmltottl.php
     write .ttl per record; the engine emits one canonical predicate-grouped
@@ -755,26 +733,25 @@ def turtle_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
             {"subj": [subj], "line": [f"{subj} {' ; '.join(parts)} ."]},
             schema=turtle_schema)
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(term_rows, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("subj").map_groups(assemble, batch_format="pandas"))
 
 
-def nquads_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                    concurrency: int = 8):
+def nquads_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Full graph serialized to N-Quads lines (the reference's named-graph
     output: Nquads.php:192-197 if-branch appends the graph term): same
     map-only serializer with with_graph=True."""
     from ..functions.ntriples import lines_table
 
-    return kg_triples_ds(sf_dir, cfg, concurrency).map_batches(
+    return kg_triples_ds(sf_dir, cfg).map_batches(
         lambda t: lines_table(t, with_graph=True),
         batch_format="pyarrow", zero_copy_batch=True)
 
 
 def kg_incremental_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                      concurrency: int = 8, n_buckets: int = 16):
+                      n_buckets: int = 16):
     """Incremental re-migration, driven end-to-end (the reference's only
     update story is a full rerun — utils.php:844-850 rewrites every TTL;
     at 100 TB a re-migrated slice must cost O(delta), not O(corpus)).
@@ -795,7 +772,7 @@ def kg_incremental_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     from . import materialize
 
     out = _session_ckpt_root()  # fresh subdir per invocation, reaped at exit
-    materialize.write_graph_sharded(kg_triples_ds(sf_dir, cfg, concurrency),
+    materialize.write_graph_sharded(kg_triples_ds(sf_dir, cfg),
                                     out, n_buckets=n_buckets, resume=False)
     base = materialize.read_graph(out)
     # the tombstone list is per-graph metadata, not data: small by design
@@ -812,8 +789,7 @@ def kg_incremental_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     return materialize.read_graph(out)
 
 
-def kg_adjacency_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                    concurrency: int = 8):
+def kg_adjacency_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Adjacency view of the graph: one row per SUBJECT with its edge count
     and a deterministic digest of its sorted edge list (the scalar query/
     oracle surface of the adjacency-table sink,
@@ -850,14 +826,13 @@ def kg_adjacency_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
                           for s in agg["joined"]],
         })
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
             .groupby("abucket")
             .map_groups(adjacency, batch_format="pandas"))
 
 
-def kg_pred_stats_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                     concurrency: int = 8):
+def kg_pred_stats_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Per-predicate triple counts — the schema-profile primitive over the
     emitted graph (what a downstream consumer checks before loading).
 
@@ -875,14 +850,14 @@ def kg_pred_stats_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
         return pa.table({"pred": pa.array(p, pa.string()),
                          "n_triples": pa.array(c.astype(np.int64))})
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
             .groupby("pred")
             .aggregate(Sum("n_triples", alias_name="n_triples")))
 
 
 def kg_pred_cardinality_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                           concurrency: int = 8, triples=None):
+                           triples=None):
     """Per-predicate cardinality audit: triple count, distinct subjects,
     distinct objects, max triples per subject, and the derived
     is-functional flag (max fan-out 1) — the schema-constraint profile a KG
@@ -919,7 +894,7 @@ def kg_pred_cardinality_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
             "c": out["size"].astype("int64")}))
 
     if triples is None:
-        triples = kg_triples_ds(sf_dir, cfg, concurrency)
+        triples = kg_triples_ds(sf_dir, cfg)
     pairs = (triples
              .map_batches(pair_partial, batch_format="pyarrow",
                           zero_copy_batch=True)
@@ -956,8 +931,7 @@ def kg_pred_cardinality_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def kg_degrees_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                  concurrency: int = 8):
+def kg_degrees_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Graph degree table: per node, out-degree (rows with the node as
     subject) and in-degree (rows with the node as a RESOURCE object — the
     OBJ_URI_PREDS predicates; literals don't create nodes). Two partial
@@ -990,7 +964,7 @@ def kg_degrees_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
                 [np.zeros(len(s_nodes)), o_counts]).astype(np.int64)),
         })
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
             .groupby("node")
             .aggregate(Sum("out_deg", alias_name="out_deg"),
@@ -998,8 +972,7 @@ def kg_degrees_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
 
 
 def kg_degree_histogram_ds(sf_dir: str,
-                           cfg: PipelineConfig = DEFAULT_CONFIG,
-                           concurrency: int = 8):
+                           cfg: PipelineConfig = DEFAULT_CONFIG):
     """Degree-distribution histogram over the emitted graph: (total degree
     → node count) — the one-glance skew profile (power-law tail = the hub
     entities every shuffle in this engine salts or buckets around).
@@ -1019,7 +992,7 @@ def kg_degree_histogram_ds(sf_dir: str,
         return pa.table({"degree": pa.array(d.astype(np.int64)),
                          "n_nodes": pa.array(c.astype(np.int64))})
 
-    return (kg_degrees_ds(sf_dir, cfg, concurrency)
+    return (kg_degrees_ds(sf_dir, cfg)
             .map_batches(partial, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("degree")
@@ -1032,7 +1005,7 @@ KCORE_MAX_ITERS = 24   # must not exceed the oracle's unrolled peel rounds
 
 def kg_kcore_ds(sf_dir: str, k: int = KCORE_K,
                 max_iters: int = KCORE_MAX_ITERS,
-                cfg: PipelineConfig = DEFAULT_CONFIG, concurrency: int = 8):
+                cfg: PipelineConfig = DEFAULT_CONFIG):
     """k-core decomposition of the undirected resource graph (distinct
     subj—obj URI edges): iteratively peel nodes with fewer than ``k``
     living neighbors until a fixpoint; output every core member with its
@@ -1085,7 +1058,7 @@ def kg_kcore_ds(sf_dir: str, k: int = KCORE_K,
     import os as _os
 
     ckpt = _session_ckpt_root()
-    pairs = (kg_triples_ds(sf_dir, cfg, concurrency)
+    pairs = (kg_triples_ds(sf_dir, cfg)
              .map_batches(pair_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
              .groupby(["lo", "hi"]).aggregate(Count())
@@ -1193,8 +1166,7 @@ PR_ITERS = 5
 
 
 def kg_pagerank_ds(sf_dir: str, iters: int = PR_ITERS,
-                   cfg: PipelineConfig = DEFAULT_CONFIG,
-                   concurrency: int = 8):
+                   cfg: PipelineConfig = DEFAULT_CONFIG):
     """Fixed-iteration PageRank over the emitted resource graph (edges =
     OBJ_URI_PREDS triples, nodes = edge endpoints) — the canonical iterative
     graph-analytics op next to the connected-components machinery.
@@ -1251,7 +1223,7 @@ def kg_pagerank_ds(sf_dir: str, iters: int = PR_ITERS,
                          "dst": pa.array(df["dst"], pa.string()),
                          "outdeg": pa.array(od.to_numpy("int64"))})
 
-    edges = (kg_triples_ds(sf_dir, cfg, concurrency)
+    edges = (kg_triples_ds(sf_dir, cfg)
              .map_batches(edge_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
              .groupby("kbucket")
@@ -1352,8 +1324,7 @@ HITS_SCALE = 10 ** 12
 
 
 def kg_hits_ds(sf_dir: str, iters: int = HITS_ITERS,
-               cfg: PipelineConfig = DEFAULT_CONFIG,
-               concurrency: int = 8):
+               cfg: PipelineConfig = DEFAULT_CONFIG):
     """Fixed-iteration HITS (hubs & authorities) over the directed resource
     graph — the second classic eigenvector-style centrality next to
     kg_pagerank, separating nodes that POINT AT important things (hubs:
@@ -1395,7 +1366,7 @@ def kg_hits_ds(sf_dir: str, iters: int = HITS_ITERS,
                          "dbucket": hash_bucket(dst, nb),
                          "src": src, "dst": dst})
 
-    edges = (kg_triples_ds(sf_dir, cfg, concurrency)
+    edges = (kg_triples_ds(sf_dir, cfg)
              .map_batches(edge_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
              .materialize())
@@ -1521,8 +1492,7 @@ def kg_hits_ds(sf_dir: str, iters: int = HITS_ITERS,
 
 
 def kg_pred_paths_ds(sf_dir: str,
-                     cfg: PipelineConfig = DEFAULT_CONFIG,
-                     concurrency: int = 8):
+                     cfg: PipelineConfig = DEFAULT_CONFIG):
     """2-hop predicate-path census: for every ordered predicate pair
     (p1, p2), the number of paths a -p1-> m -p2-> b (first hop restricted
     to resource-valued predicates so m is a node) — the schema-usage
@@ -1585,7 +1555,7 @@ def kg_pred_paths_ds(sf_dir: str,
                          "p2": pa.array(out["pred2"], pa.string()),
                          "n": pa.array(out["n"].to_numpy("int64"))})
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(partials, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("kbucket")
@@ -1604,8 +1574,7 @@ NS_SEED_PREFIX = "C:"   # conversation roots seed the sampled subgraphs
 
 
 def kg_neighbor_sample_ds(sf_dir: str,
-                          cfg: PipelineConfig = DEFAULT_CONFIG,
-                          concurrency: int = 8):
+                          cfg: PipelineConfig = DEFAULT_CONFIG):
     """GraphSAGE-style 2-hop neighbor sampling over the symmetric resource
     graph: for every conversation-root seed, keep the md5-lowest
     NS_FANOUT_1 neighbors, then each sampled node's md5-lowest NS_FANOUT_2
@@ -1661,7 +1630,7 @@ def kg_neighbor_sample_ds(sf_dir: str,
             "dst": pa.array(df.loc[keep, "dst"], pa.string()),
             "rank": pa.array(rank[keep].to_numpy("int64"))})
 
-    ranked = (kg_triples_ds(sf_dir, cfg, concurrency)
+    ranked = (kg_triples_ds(sf_dir, cfg)
               .map_batches(edge_rows, batch_format="pyarrow",
                            zero_copy_batch=True)
               .groupby("kbucket")
@@ -1814,7 +1783,7 @@ def _oriented_adjacency(edges, nb: int):
             .materialize())
 
 
-def kg_triangles_ds(sf_dir: str, concurrency: int = 8, edges=None):
+def kg_triangles_ds(sf_dir: str, edges=None):
     """Per-entity triangle participation counts over the entity
     co-occurrence graph — the community/cohesion primitive next to
     cooccurrence_ds (the resource graph itself is hierarchical and
@@ -1841,7 +1810,7 @@ def kg_triangles_ds(sf_dir: str, concurrency: int = 8, edges=None):
     SEP = "\x1f"
 
     if edges is None:
-        edges = (cooccurrence_ds(sf_dir, concurrency)
+        edges = (cooccurrence_ds(sf_dir)
                  .select_columns(["e1", "e2"]))
     oriented = _oriented_adjacency(edges, nb)
 
@@ -1906,7 +1875,7 @@ def kg_triangles_ds(sf_dir: str, concurrency: int = 8, edges=None):
             .aggregate(Sum("n", alias_name="n_triangles")))
 
 
-def kg_entity_growth_ds(sf_dir: str, concurrency: int = 8):
+def kg_entity_growth_ds(sf_dir: str):
     """Entity-introduction growth curve: per UTC day, how many entities
     were mentioned for the FIRST time, plus the running cumulative — the
     graph-growth telemetry an incremental KG build plots to see whether
@@ -1931,7 +1900,7 @@ def kg_entity_growth_ds(sf_dir: str, concurrency: int = 8):
         return pa.table({"day": d,
                          "n": pa.array(np.ones(t.num_rows, np.int64))})
 
-    per_day = (kg_entity_lifespan_ds(sf_dir, concurrency)
+    per_day = (kg_entity_lifespan_ds(sf_dir)
                .map_batches(day_rows, batch_format="pyarrow")
                .groupby("day").aggregate(Sum("n", alias_name="n_new")))
 
@@ -1949,7 +1918,7 @@ def kg_entity_growth_ds(sf_dir: str, concurrency: int = 8):
             .groupby("g").map_groups(cum, batch_format="pandas"))
 
 
-def kg_clustering_coef_ds(sf_dir: str, concurrency: int = 8):
+def kg_clustering_coef_ds(sf_dir: str):
     """Per-entity local clustering coefficient over the co-occurrence
     graph: cc = 2·triangles / (deg·(deg−1)) in integer ppm — the cohesion
     score that separates entities whose neighbors form a community from
@@ -1972,7 +1941,7 @@ def kg_clustering_coef_ds(sf_dir: str, concurrency: int = 8):
     from ..functions.arrowutils import hash_bucket, scale_buckets
 
     nb = scale_buckets(floor=16, per_cpu=2)
-    edges = cooccurrence_ds(sf_dir, concurrency).materialize()
+    edges = cooccurrence_ds(sf_dir).materialize()
 
     def deg_partial(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays([t["e1"].combine_chunks(),
@@ -2015,14 +1984,14 @@ def kg_clustering_coef_ds(sf_dir: str, concurrency: int = 8):
                          "n_triangles": pa.array(tri),
                          "cc_ppm": pa.array(cc.astype(np.int64))})
 
-    tri = kg_triangles_ds(sf_dir, concurrency, edges=edges)
+    tri = kg_triangles_ds(sf_dir, edges=edges)
     return (degrees.map_batches(d_tag, batch_format="pyarrow")
             .union(tri.map_batches(t_tag, batch_format="pyarrow"))
             .groupby("kbucket")
             .map_groups(combine, batch_format="pandas"))
 
 
-def kg_entity_cards_ds(sf_dir: str, concurrency: int = 8):
+def kg_entity_cards_ds(sf_dir: str):
     """Per-entity serving card — the denormalized profile row a KG lookup
     service materializes: temporal footprint (first/last mention,
     conv/turn counts from kg_entity_lifespan), co-occurrence degree, and
@@ -2042,7 +2011,7 @@ def kg_entity_cards_ds(sf_dir: str, concurrency: int = 8):
     from ..functions.arrowutils import hash_bucket, scale_buckets
 
     nb = scale_buckets(floor=16, per_cpu=2)
-    edges = cooccurrence_ds(sf_dir, concurrency).materialize()
+    edges = cooccurrence_ds(sf_dir).materialize()
 
     def deg_partial(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays([t["e1"].combine_chunks(),
@@ -2114,16 +2083,16 @@ def kg_entity_cards_ds(sf_dir: str, concurrency: int = 8):
             "top_neighbor_convs": pa.array(
                 m["nbr_n"].fillna(0).astype("int64").to_numpy())})
 
-    return (kg_entity_lifespan_ds(sf_dir, concurrency)
+    return (kg_entity_lifespan_ds(sf_dir)
             .map_batches(l_tag, batch_format="pyarrow")
             .union(degrees.map_batches(d_tag, batch_format="pyarrow"))
-            .union(kg_neighbors_topk_ds(sf_dir, concurrency=concurrency)
+            .union(kg_neighbors_topk_ds(sf_dir)
                    .map_batches(t_tag, batch_format="pyarrow"))
             .groupby("kbucket")
             .map_groups(combine, batch_format="pandas"))
 
 
-def kg_assortativity_ds(sf_dir: str, concurrency: int = 8):
+def kg_assortativity_ds(sf_dir: str):
     """Degree assortativity of the co-occurrence graph — the Pearson
     correlation of endpoint degrees over all directed edge orientations
     (Newman 2002): positive ⇒ hubs attach to hubs (community cores),
@@ -2148,7 +2117,7 @@ def kg_assortativity_ds(sf_dir: str, concurrency: int = 8):
     from ..functions.arrowutils import hash_bucket, scale_buckets
 
     nb = scale_buckets(floor=16, per_cpu=2)
-    edges = cooccurrence_ds(sf_dir, concurrency).materialize()
+    edges = cooccurrence_ds(sf_dir).materialize()
 
     def deg_partial(t: pa.Table) -> pa.Table:
         both = pa.concat_arrays([t["e1"].combine_chunks(),
@@ -2241,7 +2210,7 @@ def kg_assortativity_ds(sf_dir: str, concurrency: int = 8):
             .map_groups(finish, batch_format="pandas"))
 
 
-def kg_adamic_adar_ds(sf_dir: str, concurrency: int = 8, edges=None):
+def kg_adamic_adar_ds(sf_dir: str, edges=None):
     """Adamic–Adar link strength for every co-occurrence edge:
     AA(a,b) = Σ over common neighbors z of 1/ln(deg z) — the classic
     link-prediction / edge-confidence score (here scored on EXISTING edges
@@ -2272,7 +2241,7 @@ def kg_adamic_adar_ds(sf_dir: str, concurrency: int = 8, edges=None):
     SEP = "\x1f"
 
     if edges is None:
-        edges = (cooccurrence_ds(sf_dir, concurrency)
+        edges = (cooccurrence_ds(sf_dir)
                  .select_columns(["e1", "e2"]))
     edges = edges.materialize()  # feeds orientation AND the zero stream
     oriented = _oriented_adjacency(edges, nb)
@@ -2385,7 +2354,7 @@ KG_WALK_LEN = 4  # hops per walk (positions 0..KG_WALK_LEN emitted)
 
 
 def kg_walks_ds(sf_dir: str, walk_len: int = KG_WALK_LEN,
-                concurrency: int = 8, edges=None):
+                edges=None):
     """Deterministic md5-addressed random walks over the entity
     co-occurrence graph — one walk per node, the DeepWalk/node2vec-style
     corpus generator for graph-embedding training data. At node u on step
@@ -2416,7 +2385,7 @@ def kg_walks_ds(sf_dir: str, walk_len: int = KG_WALK_LEN,
 
     nb = scale_buckets(32, 2)
     if edges is None:
-        edges = cooccurrence_ds(sf_dir, concurrency)
+        edges = cooccurrence_ds(sf_dir)
 
     def explode_sym(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -2983,7 +2952,7 @@ def _exact_i64_sum(ds, col: str):
 
 
 def kg_khop_ds(sf_dir: str, k: int = KHOP_K,
-               cfg: PipelineConfig = DEFAULT_CONFIG, concurrency: int = 8):
+               cfg: PipelineConfig = DEFAULT_CONFIG):
     """K-hop BFS over the (undirected) resource graph: min distance ≤ ``k``
     from any conversation root node — the bounded-depth reachability
     primitive (impact radius / neighborhood extraction) next to
@@ -3023,7 +2992,7 @@ def kg_khop_ds(sf_dir: str, k: int = KHOP_K,
         dst = pa.concat_arrays([b, a])
         return pa.table({"kb": hash_bucket(src, nb), "src": src, "dst": dst})
 
-    edges = (kg_triples_ds(sf_dir, cfg, concurrency)
+    edges = (kg_triples_ds(sf_dir, cfg)
              .map_batches(edge_rows, batch_format="pyarrow",
                           zero_copy_batch=True)
              .materialize())
@@ -3057,7 +3026,7 @@ ANC_MAX_ROUNDS = 6  # doubling: reachable depth 2^6 = 64 levels
 
 
 def kg_ancestors_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                    concurrency: int = 8, max_rounds: int = ANC_MAX_ROUNDS):
+                    max_rounds: int = ANC_MAX_ROUNDS):
     """Ancestor closure of the ``tr:partOf`` hierarchy: every
     (node, anc, depth) pair reachable by following partOf edges upward —
     the transitive-closure primitive behind "which root does this part
@@ -3101,7 +3070,7 @@ def kg_ancestors_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
 
     ckpt_dir = _session_ckpt_root()
     paths = _checkpoint(
-        kg_triples_ds(sf_dir, cfg, concurrency)
+        kg_triples_ds(sf_dir, cfg)
         .map_batches(edge_rows, batch_format="pyarrow",
                      zero_copy_batch=True),
         os.path.join(ckpt_dir, "anc_0"))
@@ -3163,8 +3132,7 @@ def kg_ancestors_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
 NEG_BUCKETS = 64  # FIXED pool-bucket count: results are cluster-size independent
 
 
-def kg_negative_samples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                           concurrency: int = 8):
+def kg_negative_samples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Deterministic negative sampling over the resource graph: ONE
     corrupted (subj, pred, neg_obj) per positive resource-valued edge —
     the training-pair generator a TransE/DistMult-style KG-embedding job
@@ -3247,13 +3215,13 @@ def kg_negative_samples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
             "neg_obj": neg,
             "is_self": (neg == obj).astype("int64")}, schema=out_schema)
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(tagged_rows, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("nb").map_groups(corrupt, batch_format="pandas"))
 
 
-def _mention_ts_union(sf_dir: str, concurrency: int, nb: int):
+def _mention_ts_union(sf_dir: str, nb: int):
     """Tagged union feeding the conv-bucket co-group shared by
     kg_entity_lifespan_ds and kg_pair_formation_ds: linked mention rows
     (tag 0: conv, turn, entity) ∪ the pruned transcript stream (tag 1:
@@ -3289,7 +3257,7 @@ def _mention_ts_union(sf_dir: str, concurrency: int, nb: int):
             "ts_us": pc.cast(t["ts"], pa.int64()),
         })
 
-    linked = linked_mentions_ds(sf_dir, concurrency).select_columns(
+    linked = linked_mentions_ds(sf_dir).select_columns(
         ["conv_id", "turn_idx", "entity_uri"])
     ts = readers.read_transcripts(sf_dir, columns=["conv_id", "turn_idx",
                                                    "ts"])
@@ -3307,7 +3275,7 @@ def _mention_ts_join(df):
     return m.merge(ts, on=["conv_id", "turn_idx"], how="inner")
 
 
-def kg_entity_lifespan_ds(sf_dir: str, concurrency: int = 8):
+def kg_entity_lifespan_ds(sf_dir: str):
     """Per-entity temporal profile over the mention stream: first/last
     mention timestamp (epoch micros), distinct-conversation count, and
     mention-turn count — the freshness/coverage signal a KG build feeds to
@@ -3319,7 +3287,7 @@ def kg_entity_lifespan_ds(sf_dir: str, concurrency: int = 8):
     EXACT: min/max/count over integers (epoch micros), order-independent.
 
     Scale shape: the linked mention rows (conv_id, turn_idx, entity_uri —
-    already deduped per turn inside the linker actor) meet the pruned
+    already deduped per turn inside the linker call) meet the pruned
     (conv_id, turn_idx, ts) stream in ONE tagged co-group on a
     CONV-HASH-BUCKET key; because every row of a conversation lands in its
     conv's bucket, the per-(entity, conv) partial computed inside the bucket
@@ -3349,7 +3317,7 @@ def kg_entity_lifespan_ds(sf_dir: str, concurrency: int = 8):
             "n_convs": pd.Series(np.ones(len(g), np.int64)),
         }))
 
-    agg = (_mention_ts_union(sf_dir, concurrency, nb)
+    agg = (_mention_ts_union(sf_dir, nb)
            .groupby("cb").map_groups(per_bucket, batch_format="pandas")
            .groupby("entity_uri")
            .aggregate(Sum("n_convs", alias_name="n_convs"),
@@ -3366,7 +3334,7 @@ def kg_entity_lifespan_ds(sf_dir: str, concurrency: int = 8):
         batch_format="pyarrow")
 
 
-def kg_components_ds(sf_dir: str, max_iters: int = 32, concurrency: int = 8):
+def kg_components_ds(sf_dir: str, max_iters: int = 32):
     """Connected components over the entity co-occurrence graph — the
     entity-clustering step after relation discovery (the KG-side analog of
     docs.dedup_clusters_ds; the reference's KTMapping alias merging J1/J2 is
@@ -3407,7 +3375,7 @@ def kg_components_ds(sf_dir: str, max_iters: int = 32, concurrency: int = 8):
         dst = pa.concat_arrays([b, a])
         return pa.table({"kb": hash_bucket(src, nb), "src": src, "dst": dst})
 
-    edges = (cooccurrence_ds(sf_dir, concurrency)
+    edges = (cooccurrence_ds(sf_dir)
              .select_columns(["e1", "e2"])
              .map_batches(sym, batch_format="pyarrow")
              .materialize())
@@ -3453,7 +3421,7 @@ def kg_components_ds(sf_dir: str, max_iters: int = 32, concurrency: int = 8):
         batch_format="pyarrow")
 
 
-def kg_pmi_ds(sf_dir: str, concurrency: int = 8):
+def kg_pmi_ds(sf_dir: str):
     """Pointwise mutual information per co-occurring entity pair —
     pmi = ln(n_ab·N / (n_a·n_b)) over conversation counts — the association
     score that separates systematically-related entity pairs from pairs
@@ -3472,8 +3440,8 @@ def kg_pmi_ds(sf_dir: str, concurrency: int = 8):
     the pair stream is scored in one map — no pair-side shuffle at all.
     N (distinct conversations) is one tiny aggregate. The linker runs ONCE:
     its (conv, entity) stream is checkpointed and feeds both the entity
-    counts and the co-occurrence pair build (the MentionLinker pool is the
-    dominant stage at scale — paying it twice doubled this query's wall)."""
+    counts and the co-occurrence pair build (linking is the dominant stage
+    at scale — paying it twice doubled this query's wall)."""
     import math
     import os
 
@@ -3488,7 +3456,7 @@ def kg_pmi_ds(sf_dir: str, concurrency: int = 8):
 
     nb = scale_buckets(floor=16, per_cpu=2)
     linked = _checkpoint(
-        linked_mentions_ds(sf_dir, concurrency)
+        linked_mentions_ds(sf_dir)
         .select_columns(["conv_id", "entity_uri"]),
         os.path.join(_session_ckpt_root(), "pmi_linked"))
 
@@ -3521,9 +3489,8 @@ def kg_pmi_ds(sf_dir: str, concurrency: int = 8):
 
     def score(t: pa.Table) -> pa.Table:
         # stateless task + ray.get of the broadcast dict (~ms; plasma caches
-        # the object per node) — an actor pool here would STACK a second
-        # min-sized pool on top of cooccurrence's linker pool and can starve
-        # a small cluster (observed executor wedge at num_cpus=4)
+        # the object per node) — an actor pool would wait for slots a small
+        # cluster may not have (observed executor wedge at num_cpus=4)
         n_by_ent = ray.get(ecnt_ref)
         df = t.to_pandas()
         na = df["e1"].map(n_by_ent).to_numpy(dtype="int64")
@@ -3537,11 +3504,11 @@ def kg_pmi_ds(sf_dir: str, concurrency: int = 8):
             "e1": df["e1"], "e2": df["e2"],
             "n_convs": nab, "pmi": round_half_away(pmi)}))
 
-    return cooccurrence_ds(sf_dir, concurrency, linked=linked).map_batches(
+    return cooccurrence_ds(sf_dir, linked=linked).map_batches(
         score, batch_format="pyarrow")
 
 
-def kg_pair_formation_ds(sf_dir: str, concurrency: int = 8):
+def kg_pair_formation_ds(sf_dir: str):
     """Temporal edge formation: for every co-occurring entity pair, the
     earliest moment BOTH had been mentioned inside one conversation —
     formed_ts_us = min over shared convs of greatest(first-mention(a),
@@ -3594,7 +3561,7 @@ def kg_pair_formation_ds(sf_dir: str, concurrency: int = 8):
         out["one"] = np.int64(1)
         return from_pandas_clean(out)
 
-    agg = (_mention_ts_union(sf_dir, concurrency, nb)
+    agg = (_mention_ts_union(sf_dir, nb)
            .groupby("cb").map_groups(per_bucket, batch_format="pandas")
            .groupby(["e1", "e2"])
            .aggregate(Min("formed", alias_name="formed_ts_us"),
@@ -3607,7 +3574,7 @@ def kg_pair_formation_ds(sf_dir: str, concurrency: int = 8):
         batch_format="pyarrow")
 
 
-def conv_summary_ds(sf_dir: str, concurrency: int = 8):
+def conv_summary_ds(sf_dir: str):
     """Extractive conversation summary: the most entity-DENSE turn per
     conversation (distinct linked entities; ties broken by earliest
     turn_idx) — the deterministic 'conv-has-summary' analog of the
@@ -3634,13 +3601,13 @@ def conv_summary_ds(sf_dir: str, concurrency: int = 8):
         g["n"] = g["n"].astype("int64")
         return from_pandas_clean(g)
 
-    per_turn = (linked_mentions_ds(sf_dir, concurrency)
+    per_turn = (linked_mentions_ds(sf_dir)
                 .select_columns(["conv_id", "turn_idx"])
                 .map_batches(partial, batch_format="pyarrow")
                 .groupby(["conv_id", "turn_idx"])
                 .aggregate(Sum("n", alias_name="n"))
                 .map_batches(add_conv_bucket,
-                             fn_kwargs={"n_buckets": conv_buckets()},
+                             fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
                              batch_format="pyarrow"))
 
     out_schema = pa.schema([("conv_id", pa.string()),
@@ -3727,7 +3694,7 @@ def conv_tool_stats_ds(sf_dir: str):
 
 
 def kg_inverse_preds_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                        concurrency: int = 8, triples=None):
+                        triples=None):
     """Inverse/symmetric predicate discovery: for every ordered predicate
     pair (pred_a, pred_b), the number of distinct triple pairs
     (a, pred_a, b) ∧ (b, pred_b, a) with a ≠ b — the 2-cycle census a KG
@@ -3784,7 +3751,7 @@ def kg_inverse_preds_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
             "n_pairs": g["size"].astype("int64")}))
 
     if triples is None:
-        triples = kg_triples_ds(sf_dir, cfg, concurrency)
+        triples = kg_triples_ds(sf_dir, cfg)
     return (triples
             .select_columns(["subj", "pred", "obj"])
             .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
@@ -3977,7 +3944,7 @@ def conv_context_budget_ds(sf_dir: str, budget: int = CONTEXT_BUDGET_TOKENS):
             .map_batches(flags, batch_format="pyarrow"))
 
 
-def conv_topic_shift_ds(sf_dir: str, concurrency: int = 8):
+def conv_topic_shift_ds(sf_dir: str):
     """Dialogue-coherence profile: for every pair of consecutive turns
     that BOTH mention entities, the Jaccard overlap of their distinct
     entity sets — low values mark topic shifts, the segmentation signal a
@@ -4035,7 +4002,7 @@ def conv_topic_shift_ds(sf_dir: str, concurrency: int = 8):
             "n_overlap": pa.array(ov),
             "jaccard": pa.array(round_half_away(ov / union))})
 
-    return (linked_mentions_ds(sf_dir, concurrency)
+    return (linked_mentions_ds(sf_dir)
             .select_columns(["conv_id", "turn_idx", "entity_uri"])
             .map_batches(tag, batch_format="pyarrow")
             .groupby("cb")
@@ -4252,8 +4219,7 @@ def sft_dpo_pairs_ds(sf_dir: str):
 NEIGHBOR_TOPK = 5
 
 
-def kg_neighbors_topk_ds(sf_dir: str, k: int = NEIGHBOR_TOPK,
-                         concurrency: int = 8):
+def kg_neighbors_topk_ds(sf_dir: str, k: int = NEIGHBOR_TOPK):
     """Top-k strongest co-occurrence neighbors per entity (ties broken by
     neighbor URI) — the per-node adjacency shortlist a KG serves for
     related-entity lookups.
@@ -4297,7 +4263,7 @@ def kg_neighbors_topk_ds(sf_dir: str, k: int = NEIGHBOR_TOPK,
                        .to_numpy(dtype="int64") + 1)
         return out
 
-    return (cooccurrence_ds(sf_dir, concurrency)
+    return (cooccurrence_ds(sf_dir)
             .map_batches(sym_topk, batch_format="pyarrow")
             .groupby("eb").map_groups(finalize, batch_format="pandas"))
 
@@ -4307,7 +4273,7 @@ NEIGHBOR_JACCARD_THRESHOLD = 0.8   # alias-candidate similarity bar
 
 def kg_neighbor_jaccard_ds(sf_dir: str,
                            threshold: float = NEIGHBOR_JACCARD_THRESHOLD,
-                           concurrency: int = 8, edges=None):
+                           edges=None):
     """Entity-resolution candidates by NEIGHBORHOOD Jaccard over the
     co-occurrence graph: every entity pair whose neighbor sets overlap with
     Jaccard ≥ ``threshold`` — structural-equivalence alias detection, the
@@ -4340,7 +4306,7 @@ def kg_neighbor_jaccard_ds(sf_dir: str,
     nb = scale_buckets(floor=16, per_cpu=2)
 
     if edges is None:
-        edges = (cooccurrence_ds(sf_dir, concurrency)
+        edges = (cooccurrence_ds(sf_dir)
                  .select_columns(["e1", "e2"]))
     # `edges` contract: distinct undirected edges, e1 < e2, no self-loops
 
@@ -4519,8 +4485,7 @@ def kg_neighbor_jaccard_ds(sf_dir: str,
                                        batch_format="pandas"))
 
 
-def kg_dangling_refs_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-                        concurrency: int = 8):
+def kg_dangling_refs_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Referential-integrity audit over the emitted graph: every URI that
     appears as the OBJECT of a resource-valued predicate but never as a
     SUBJECT, with its reference count — the dangling-edge report a KG build
@@ -4568,7 +4533,7 @@ def kg_dangling_refs_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
         return pd.DataFrame({"node": g["node"],
                              "n_refs": g["n"].astype("int64")})
 
-    return (kg_triples_ds(sf_dir, cfg, concurrency)
+    return (kg_triples_ds(sf_dir, cfg)
             .map_batches(tag_rows, batch_format="pyarrow",
                          zero_copy_batch=True)
             .groupby("ub").map_groups(per_bucket, batch_format="pandas")

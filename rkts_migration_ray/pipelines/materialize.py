@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import TRIPLE_COLUMNS
-from ..functions.arrowutils import hash_bucket
+from ..functions.arrowutils import cluster_cpus, hash_bucket
 from ..state import manifest as mf
 
 
@@ -46,14 +46,12 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
     done = mf.committed_buckets(out_dir) if resume else {}
     mf.assert_source_matches(done, source)
 
-    import ray
-
     # coalesce before the bucket shuffle: the sort's driver-side metadata and
     # scheduling cost grow with input block count (upstream unions produce
     # hundreds of small blocks and streaming repartition splits but never
     # merges), while too FEW blocks produce multi-GB blocks that stall the
     # memory budgeter. 8×CPU keeps blocks ~100-400MB across tested scales.
-    n_blocks = max(16, int(ray.cluster_resources().get("CPU", 8)) * 8)
+    n_blocks = max(16, cluster_cpus() * 8)
     ds = triples_ds.repartition(n_blocks).map_batches(
         lambda t: add_bucket(t, n_buckets), batch_format="pyarrow")
     if done:

@@ -2,8 +2,9 @@
 
 The lookup tables are the reference's CSV/YAML hash maps (S4/S5/S9 in
 SURVEY.md §2.1) re-expressed as driver-side loads that are broadcast ONCE via
-ray.put and read in every linker actor's __init__ — never re-shipped per batch
-and never shuffled (all reference joins are broadcast-small-side lookups,
+ray.put and fetched by ref inside each stateless linker task — plasma keeps
+one copy per node, nothing is re-shipped with the batches, and nothing is
+shuffled (all reference joins are broadcast-small-side lookups,
 SURVEY.md §2.5).
 """
 
@@ -12,6 +13,21 @@ from __future__ import annotations
 import pyarrow.parquet as pq
 
 from .. import fixtures
+from ..functions.arrowutils import cluster_cpus
+
+
+def _transcript_files(sf_dir: str) -> list[str]:
+    import glob
+
+    path = fixtures.transcripts_path(sf_dir)
+    return glob.glob(path if "*" in path else path.rstrip("/") + "/*.parquet")
+
+
+def transcript_rows(sf_dir: str) -> int:
+    """Transcript row count from the Parquet footers (reads no data)."""
+    fixtures.ensure_fixture(sf_dir)
+    return sum(pq.ParquetFile(f).metadata.num_rows
+               for f in _transcript_files(sf_dir))
 
 
 def read_transcripts(sf_dir: str, columns: list[str] | None = None):
@@ -25,20 +41,13 @@ def read_transcripts(sf_dir: str, columns: list[str] | None = None):
     magnitude more files than CPUs, making this a no-op), split reads down
     to row-group granularity via override_num_blocks — measured 50.7 s →
     27.4 s for the map-only stream at 32 CPUs on sf1."""
-    import glob
-
-    import ray
     import ray.data as rd
 
     path = fixtures.transcripts_path(sf_dir)
     fixtures.ensure_fixture(sf_dir)
     kwargs = {}
-    files = glob.glob(path if "*" in path else path.rstrip("/") + "/*.parquet")
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    target = 4 * cpus
+    files = _transcript_files(sf_dir)
+    target = 4 * cluster_cpus()
     if files and len(files) < target:
         row_groups = pq.ParquetFile(files[0]).metadata.num_row_groups * len(files)
         blocks = min(target, row_groups)

@@ -20,6 +20,13 @@ dominates wall time at 10^6+ conversations; bucketing amortizes it B-fold
 while preserving exact per-conv semantics, since a bucket always contains
 every turn of its conversations). In-group order is explicit (sort by
 conv_id, turn_idx), never block-arrival order.
+
+Fan-out B is sized from the data (conv_buckets): about
+TURNS_PER_CONV_BUCKET turns per bucket, at least two buckets per CPU slot,
+capped at scale_buckets(N_CONV_BUCKETS, 8). A fixed 256-way floor cost one
+pandas call per group even when the input held only ~150 conversations
+(2 k turns: ~5 s of UDF time, against well under 1 s at 4 buckets). B never
+changes the output, only how the same conversations are grouped.
 """
 
 from __future__ import annotations
@@ -48,7 +55,12 @@ from ..config import (
     T_SECTION,
     TRIPLE_COLUMNS,
 )
-from ..functions.arrowutils import from_pandas_clean, hash_bucket, scale_buckets
+from ..functions.arrowutils import (
+    cluster_cpus,
+    from_pandas_clean,
+    hash_bucket,
+    scale_buckets,
+)
 from ..functions.minting import mint_node_array
 
 CONV_GROUP_COLUMNS = [
@@ -56,12 +68,23 @@ CONV_GROUP_COLUMNS = [
     "title_bcp", "title_label", "title_key", "chap_label",
 ]
 
-N_CONV_BUCKETS = 256  # local floor; conv_buckets() scales with cluster CPUs
+N_CONV_BUCKETS = 256  # fan-out cap up to 32 CPUs; 8 per CPU beyond
+TURNS_PER_CONV_BUCKET = 2_000
 
 
-def conv_buckets() -> int:
-    """Conv shuffle fan-out: ≥ cluster parallelism, ≪ #convs."""
-    return scale_buckets(floor=N_CONV_BUCKETS, per_cpu=8)
+def conv_buckets(sf_dir: str | None = None) -> int:
+    """Conv shuffle fan-out, the one rule for every conv-keyed shuffle:
+    ceil(turns / TURNS_PER_CONV_BUCKET), at least 2 × the cluster's CPU
+    slots, at most scale_buckets(N_CONV_BUCKETS, 8). The turn count comes
+    from the Parquet footers of ``sf_dir``'s transcripts; without
+    ``sf_dir`` the cap applies. (sf0.1, 600 k turns, at 32 CPUs: 256.)"""
+    cap = scale_buckets(floor=N_CONV_BUCKETS, per_cpu=8)
+    if sf_dir is None:
+        return cap
+    from ..sources.readers import transcript_rows
+
+    want = -(-transcript_rows(sf_dir) // TURNS_PER_CONV_BUCKET)
+    return min(cap, max(2 * cluster_cpus(), want))
 
 
 def add_conv_bucket(batch: pa.Table, n_buckets: int | None = None) -> pa.Table:

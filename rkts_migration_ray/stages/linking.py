@@ -1,13 +1,16 @@
-"""Entity linking: stateful actor pool over a broadcast gazetteer.
+"""Entity linking: stateless tasks over a broadcast gazetteer.
 
 ≈ the reference's gazetteer hit / minted miss logic (id_to_url_abstract,
 utils.php:68-97 + get_abstract_mapping utils.php:872-897) and the alias
 canonicalization maps (KTMapping / SameTextDifferentTranslation / redirects,
 rkts.yaml:38-113, utils.php:102-109, kernelxmltottl.php:255-270).
 
-The gazetteer / alias-closure / props dicts are ray.put ONCE on the driver and
-fetched in each actor's __init__ (ST2 in SURVEY.md §2.4) — broadcast
-small-side lookup, never a shuffle join, never re-shipped per batch.
+The gazetteer / alias-closure / props dicts are ray.put ONCE on the driver
+(ST2 in SURVEY.md §2.4) and fetched by ref when MentionLinker / EntityEmitter
+is built inside each task (pipelines/kg.py wraps both as plain functions) —
+broadcast small-side lookup, never a shuffle join, never re-shipped with the
+batches. No actor pool: a pool must start before its stage can run, and one
+sized past the cluster's CPU slots waits on actors that cannot start.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ def _mint_entity_uris(aliases: pd.Series) -> pd.Series:
 
 
 class MentionLinker:
-    """Actor-pool stage: (conv_id, turn_idx, alias) → + entity_uri/final_id/curated.
+    """Linking UDF: (conv_id, turn_idx, alias) → + entity_uri/final_id/curated.
+
+    Built from refs (``gaz_ref``/``alias_ref``, inside a Ray task) or from
+    the dicts themselves (``gaz``/``alias_closure``, in-process callers).
 
     With ``explode=True`` the batch is the raw feature rows (one row per turn,
     ``mentions`` list column): explode → link → exact per-turn dedup of

@@ -21,7 +21,8 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.arrowutils import from_pandas_clean, hash_bucket, scale_buckets
+from ..functions.arrowutils import from_pandas_clean
+from .convgroup import add_conv_bucket
 
 VALIDATE_COLUMNS = ["conv_id", "n_turns", "n_distinct", "max_idx", "dense", "ts_monotone"]
 
@@ -29,10 +30,6 @@ VALIDATE_SCHEMA = pa.schema([
     ("conv_id", pa.string()), ("n_turns", pa.int64()), ("n_distinct", pa.int64()),
     ("max_idx", pa.int64()), ("dense", pa.bool_()), ("ts_monotone", pa.bool_()),
 ])
-
-
-def _add_bucket(batch: pa.Table, n_buckets: int = 256) -> pa.Table:
-    return batch.append_column("conv_bucket", hash_bucket(batch["conv_id"], n_buckets))
 
 
 def validate_bucket(df: pd.DataFrame) -> pa.Table:
@@ -60,11 +57,11 @@ def validate_bucket(df: pd.DataFrame) -> pa.Table:
     return from_pandas_clean(out[VALIDATE_COLUMNS], schema=VALIDATE_SCHEMA)
 
 
-def validate_transcripts(ds):
+def validate_transcripts(ds, n_buckets: int):
     """Bucketed groupby(conv_id) validation — same shuffle shape as the
-    conv-window stage; each group holds whole conversations."""
-    nb = scale_buckets(floor=256, per_cpu=8)  # resolved once, on the driver
-    return (ds.map_batches(_add_bucket, fn_kwargs={"n_buckets": nb},
+    conv-window stage (callers pass its fan-out, convgroup.conv_buckets);
+    each group holds whole conversations."""
+    return (ds.map_batches(add_conv_bucket, fn_kwargs={"n_buckets": n_buckets},
                            batch_format="pyarrow")
             .groupby("conv_bucket")
             .map_groups(validate_bucket, batch_format="pandas"))

@@ -2,11 +2,15 @@
 
 import gzip
 import json
+import os
 
 import pytest
 
 from rkts_migration_ray.functions import pagination as pg
 from rkts_migration_ray.sources import aux_readers
+
+# the checkout these tests belong to: CLI subprocesses run ITS package
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_folio_arithmetic():
@@ -78,7 +82,7 @@ def test_cli_query_subcommand(sf_tag, tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "rkts_migration_ray", "query", "--name",
          "text_vocab", "--sf", sf_tag, "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO_ROOT)
     assert out.returncode == 0, out.stderr[-500:]
     res = json.loads(out.stdout.strip().splitlines()[-1])
     assert res["query"] == "text_vocab" and res["rows"] > 0
@@ -143,7 +147,7 @@ def test_cli_query_csv_export(sf_tag, tmp_path):
         [sys.executable, "-m", "rkts_migration_ray", "query", "--name",
          "kg_role_pivot", "--sf", sf_tag, "--num-cpus", "2",
          "--out", out_dir, "--csv"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO_ROOT)
     assert out.returncode == 0, out.stderr[-500:]
     res = json.loads(out.stdout.strip().splitlines()[-1])
     import glob as _glob
@@ -172,7 +176,7 @@ def test_cli_ingest_subcommand(sf_tag, tmp_path):
         [sys.executable, "-m", "rkts_migration_ray", "ingest", "--kind",
          "dedup", "--sf", sf_tag, "--index", bidx, "--gen", "batch1",
          "--out", out, "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO_ROOT)
     assert r1.returncode == 0, r1.stderr[-500:]
     rep = json.loads(r1.stdout.strip().splitlines()[-1])
     assert rep["generations"] == 2 and rep["matches"] > 0
@@ -185,7 +189,104 @@ def test_cli_ingest_subcommand(sf_tag, tmp_path):
         [sys.executable, "-m", "rkts_migration_ray", "ingest", "--kind",
          "embed", "--sf", sf_tag, "--index", vidx, "--gen", "batch1",
          "--compact", "--num-cpus", "2"],
-        capture_output=True, text=True, cwd="/root/repo")
+        capture_output=True, text=True, cwd=REPO_ROOT)
     assert r2.returncode == 0, r2.stderr[-500:]
     rep = json.loads(r2.stdout.strip().splitlines()[-1])
     assert rep["matches"] > 0 and rep["generations"] == 1  # compacted
+
+    # a second embed ingest after --compact probes the compacted index as it
+    # is: gen-base must not come back (compaction deleted it and its _DONE)
+    out2 = str(tmp_path / "matches2.parquet")
+    r3 = subprocess.run(
+        [sys.executable, "-m", "rkts_migration_ray", "ingest", "--kind",
+         "embed", "--sf", sf_tag, "--index", vidx, "--gen", "batch2",
+         "--delta-rem", "5", "--out", out2, "--num-cpus", "2"],
+        capture_output=True, text=True, cwd=REPO_ROOT)
+    assert r3.returncode == 0, r3.stderr[-500:]
+    rep = json.loads(r3.stdout.strip().splitlines()[-1])
+    assert rep["generations"] == 2 and rep["matches"] > 0
+
+    import glob as _glob
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from rkts_migration_ray.pipelines import docs
+
+    gens = [os.path.basename(g) for g in docs._ivf_generations(vidx)]
+    assert gens == ["gen-batch2", "gen-compact000"]
+    # the index batch2 was probed against: every vec_id exactly once
+    probed = np.concatenate([
+        pq.read_table(f, columns=["vec_id"])["vec_id"].to_numpy()
+        for f in _glob.glob(os.path.join(vidx, "gen-compact000", "**",
+                                         "*.parquet"), recursive=True)])
+    t = pq.read_table(os.path.join(docs.resolve_sf_dir(sf_tag),
+                                   "embeddings.parquet"),
+                      columns=["vec_id", "embedding"])
+    ids = np.asarray(t["vec_id"], dtype=np.int64)
+    assert len(probed) == len(np.unique(probed))
+    # base (vec_id % 10 != 0) plus batch1 (vec_id % 10 == 0): all vectors
+    assert set(probed.tolist()) == set(ids.tolist())
+
+    # full probe => exact: id-for-id equal to numpy float64 brute force
+    E = np.array(t["embedding"].to_pylist(), dtype=np.float64)
+    En = E / np.linalg.norm(E, axis=1, keepdims=True)
+    delta = ids % 10 == 5
+    S = En[delta] @ En.T
+    want = {int(d): list(ids[np.lexsort((ids, -S[i]))[:docs.KNN_K]])
+            for i, d in enumerate(ids[delta])}
+    got2 = pd.read_parquet(out2)
+    assert len(got2) == rep["matches"]
+    assert {int(d): list(g.sort_values("rank")["base_id"])
+            for d, g in got2.groupby("delta_id")} == want
+
+
+def test_cli_query_list_starts_no_ray(monkeypatch, capsys):
+    """`query --list` only reads the registry: it must answer without
+    starting (or stopping) a Ray session."""
+    import ray
+
+    from rkts_migration_ray.__main__ import main
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("query --list started Ray")
+
+    monkeypatch.setattr(ray, "init", no_init)
+    monkeypatch.setattr(ray, "shutdown", lambda *args, **kwargs: None)
+    assert main(["query", "--list"]) == 0
+    names = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "kg_triples" in names
+
+
+def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
+    """The CLI `run` finishes at 1 and at 2 CPU slots within a deadline, as
+    ONE Ray Data execution with no actor pool, and both runs write the same
+    graph: identical per-bucket manifests whose rows add up to the DuckDB
+    kg_triples twin. SUBPROCESS, so the session's cluster is left alone."""
+    import subprocess
+    import sys
+
+    import duckdb
+
+    from rkts_migration_ray import fixtures, oracles
+    from rkts_migration_ray.state import manifest as mf
+
+    fixtures.ensure_fixture("sf0.001")
+    got = {}
+    for cpus in (1, 2):
+        out = str(tmp_path / f"graph{cpus}")
+        r = subprocess.run(
+            [sys.executable, "-m", "rkts_migration_ray", "run", "--sf",
+             "sf0.001", "--out", out, "--no-resume", "--num-cpus", str(cpus)],
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=240)
+        assert r.returncode == 0, r.stderr[-500:]
+        plans = [ln for ln in r.stderr.splitlines()
+                 if "Execution plan of Dataset" in ln]
+        assert len(plans) == 1, plans
+        assert "ActorPoolMapOperator" not in plans[0]
+        got[cpus] = {b: (m["rows"], m["checksum"])
+                     for b, m in mf.committed_buckets(out).items()}
+    assert len(got[1]) == 64 and got[1] == got[2]
+    sql = oracles.kg_oracle_sql("sf0.001")["kg_triples"]
+    (want,) = duckdb.sql(f"SELECT count(*) FROM ({sql})").fetchone()
+    assert sum(rows for rows, _ in got[1].values()) == want

@@ -52,7 +52,7 @@ def test_lines_table_assembly():
 
 def test_nt_sink_roundtrip_and_resume(sf_tag, tmp_path):
     out = str(tmp_path / "nt")
-    streams = kg.kg_bundle(sf_tag, concurrency=2)
+    streams = kg.kg_bundle(sf_tag)
     m1 = materialize.write_graph_ntriples(streams, out, n_buckets=8,
                                           resume=False)
     total = int(m1["rows"].sum())
@@ -74,7 +74,7 @@ def test_nt_sink_roundtrip_and_resume(sf_tag, tmp_path):
     with open(frag, "r+b") as fh:
         fh.truncate(10)
     assert 3 not in mf.committed_buckets(out)
-    streams = kg.kg_bundle(sf_tag, concurrency=2)
+    streams = kg.kg_bundle(sf_tag)
     m2 = materialize.write_graph_ntriples(streams, out, n_buckets=8,
                                           resume=True)
     assert int(m2["rows"].sum()) == total

@@ -270,10 +270,9 @@ def test_lazy_checkpoint_write_matches_eager(sf_tag, tmp_path):
     bucket-for-bucket identical manifests to the eager-checkpoint bundle."""
     out_e = str(tmp_path / "eager")
     out_l = str(tmp_path / "lazy")
-    se = kg.kg_bundle(sf_tag, concurrency=2, checkpoint_linked=True)
+    se = kg.kg_bundle(sf_tag, checkpoint_linked=True)
     me = materialize.write_graph_streams(se, out_e, n_buckets=8, resume=False)
-    sl = kg.kg_bundle(sf_tag, concurrency=2, checkpoint_linked=True,
-                      lazy_checkpoint=True)
+    sl = kg.kg_bundle(sf_tag, checkpoint_linked=True, lazy_checkpoint=True)
     assert callable(sl["mentions"]) and callable(sl["entities"])
     ml = materialize.write_graph_streams(sl, out_l, n_buckets=8, resume=False)
     assert int(me["rows"].sum()) == int(ml["rows"].sum())

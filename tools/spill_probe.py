@@ -83,8 +83,8 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     t0 = time.perf_counter()
-    streams = kg.kg_bundle(args.sf, concurrency=max(4, args.cpus),
-                           checkpoint_linked=True, lazy_checkpoint=True)
+    streams = kg.kg_bundle(args.sf, checkpoint_linked=True,
+                           lazy_checkpoint=True)
     manifest = materialize.write_graph_streams(
         streams, out_dir, n_buckets=64, resume=False,
         source=fixtures.transcripts_path(args.sf), overlap=True)
