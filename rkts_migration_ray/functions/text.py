@@ -67,10 +67,16 @@ _DUCK_CONN = None
 def _duck():
     """One in-process DuckDB connection per worker, reused across batches
     (Ray tasks in a worker run sequentially) — the vectorized md5 engine
-    for batch_shingle_hashes."""
+    for batch_shingle_hashes. DuckDB is therefore a runtime dependency of
+    every Ray worker, not only of the oracles (README, Dependencies)."""
     global _DUCK_CONN
     if _DUCK_CONN is None:
-        import duckdb
+        try:
+            import duckdb
+        except ImportError as e:
+            raise ImportError(
+                "batch_shingle_hashes needs duckdb on every Ray worker "
+                "(MinHash banding and the dedup verify run it in tasks)") from e
 
         _DUCK_CONN = duckdb.connect()
     return _DUCK_CONN

@@ -395,15 +395,16 @@ def _minhash_verify_cogroup(sf_dir: str, cand, threshold: float):
        computes exact Jaccard.
     """
     def explode_membership(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        return from_pandas_clean(pd.DataFrame({
-            "key": pd.concat([df["doc_a"], df["doc_b"]],
-                             ignore_index=True).astype("int64"),
-            "mate": pd.concat([df["doc_b"], df["doc_a"]],
-                              ignore_index=True).astype("int64"),
-            "side": pd.Series([0] * len(df) + [1] * len(df), dtype="int64"),
-            "text": pd.Series([None] * (2 * len(df)), dtype="object"),
-        }))
+        a = np.asarray(t["doc_a"], dtype=np.int64)
+        b = np.asarray(t["doc_b"], dtype=np.int64)
+        n = len(a)
+        # text typed like doc_rows' (string), so the union has one schema
+        return pa.table({
+            "key": pa.array(np.concatenate([a, b])),
+            "mate": pa.array(np.concatenate([b, a])),
+            "side": pa.array(np.repeat(np.array([0, 1], np.int64), n)),
+            "text": pa.nulls(2 * n, pa.string()),
+        })
 
     def doc_rows(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -414,25 +415,25 @@ def _minhash_verify_cogroup(sf_dir: str, cand, threshold: float):
             "text": t["text"],
         })
 
-    def attach_shingles(df: pd.DataFrame) -> pd.DataFrame:
+    shingle_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                ("shingles", pa.list_(pa.int64()))])
+
+    def attach_shingles(df: pd.DataFrame) -> pa.Table:
         memb = df[df["side"] >= 0]
-        empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                              "doc_b": pd.Series(dtype="int64"),
-                              "shingles": pd.Series(dtype="object")})
-        if len(memb) == 0:
-            return empty
         texts = df.loc[df["side"] < 0, "text"]
-        if len(texts) == 0:  # candidate references a doc absent from corpus
-            return empty
+        # no membership, or a candidate whose doc is absent from the corpus:
+        # a typed empty table (an empty object column has no Arrow type)
+        if len(memb) == 0 or len(texts) == 0:
+            return shingle_schema.empty_table()
         sh = np.sort(T.shingle_hashes(T.tokens_lower(texts.iloc[0]))).astype("int64")
         key = int(df["key"].iloc[0])
         side = memb["side"].to_numpy("int64")
         mate = memb["mate"].to_numpy("int64")
-        return pd.DataFrame({
-            "doc_a": pd.Series(np.where(side == 0, key, mate), dtype="int64"),
-            "doc_b": pd.Series(np.where(side == 0, mate, key), dtype="int64"),
+        return pa.table({
+            "doc_a": np.where(side == 0, key, mate),
+            "doc_b": np.where(side == 0, mate, key),
             "shingles": [sh] * len(memb),
-        })
+        }, schema=shingle_schema)
 
     def verify_pair(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
@@ -586,29 +587,34 @@ def _band_rows_df(df: pd.DataFrame) -> pd.DataFrame:
     the 16 tiny blake2b band digests per doc remain Python calls, sliced
     straight out of the row-major signature buffer (identical bytes to the
     old per-doc ``sig[band].tobytes()``)."""
-    a, b = T.minhash_params(N_HASHES)
-    rows_per_band = N_HASHES // N_BANDS
-    step = 8 * rows_per_band  # bytes per band in the signature buffer
-
     sh_list = T.batch_shingle_hashes(list(df["text"]))
     keep = np.fromiter((len(s) > 0 for s in sh_list), dtype=bool,
                        count=len(sh_list))
     ids = df["doc_id"].to_numpy(np.int64)[keep]
-    if len(ids) == 0:
-        return pd.DataFrame({"band": pd.Series(dtype="int64"),
-                             "band_hash": pd.Series(dtype="object"),
-                             "doc_id": pd.Series(dtype="int64"),
-                             "hb": pd.Series(dtype="int64")})
-    sigs = T.batch_minhash_signatures(
-        [s for s, k2 in zip(sh_list, keep) if k2], a, b)
-    buf = sigs.tobytes()  # row-major: doc0 band0..15, doc1 band0..15, ...
-    bh = [hashlib.blake2b(buf[o:o + step], digest_size=8).hexdigest()
-          for o in range(0, len(buf), step)]
+    return _band_frame(ids, _band_hashes(
+        [s for s, k2 in zip(sh_list, keep) if k2]))
+
+
+def _band_hashes(sh_list) -> list[str]:
+    """The N_BANDS band digests of each (non-empty) shingle set, row-major:
+    doc0 band0..15, doc1 band0..15, ..."""
+    if not sh_list:
+        return []
+    a, b = T.minhash_params(N_HASHES)
+    step = 8 * (N_HASHES // N_BANDS)  # bytes per band in the signature buffer
+    buf = T.batch_minhash_signatures(sh_list, a, b).tobytes()
+    return [hashlib.blake2b(buf[o:o + step], digest_size=8).hexdigest()
+            for o in range(0, len(buf), step)]
+
+
+def _band_frame(ids: np.ndarray, bh: list[str]) -> pd.DataFrame:
+    """Band rows (band, band_hash, doc_id, hb) from ``_band_hashes`` output
+    for the docs ``ids``; hb is the band-hash-prefix partition key."""
     return pd.DataFrame({
         "band": pd.Series(np.tile(np.arange(N_BANDS, dtype=np.int64),
                                   len(ids))),
         "band_hash": pd.Series(bh, dtype="object"),
-        "doc_id": pd.Series(np.repeat(ids, N_BANDS)),
+        "doc_id": pd.Series(np.repeat(np.asarray(ids, np.int64), N_BANDS)),
         "hb": pd.Series([int(h[:4], 16) % BAND_HB_PARTS for h in bh],
                         dtype="int64")})
 
@@ -747,12 +753,12 @@ def dedup_incremental_ds(sf_dir: str, threshold: float = 0.2,
     Scale shape (the O(delta) ingest analog of kg_incremental): the base
     corpus's band index is built ONCE and persisted, partitioned by band-
     hash prefix (ensure_band_index). Per batch: only the delta's band rows
-    (16/doc) are computed and shuffled by the same prefix; each (hb) group
-    joins its delta rows against ITS index partition read locally by the
-    task — base band rows never cross a shuffle again. Candidates are
-    strictly cross (base, delta) pairs; exact shingle-Jaccard verification
-    reuses the tagged co-group (no driver materialization). Output:
-    (delta_id, base_id, jaccard) for every verified near-dup.
+    (16/doc) and shingle sets are computed, and each touched (hb) partition
+    of the index is joined against them by one task that reads it locally —
+    base band rows never cross a shuffle. Candidates pair a delta doc with
+    an indexed doc; the exact shingle-Jaccard verify runs map-side over the
+    corpus (_dedup_probe). Output: (delta_id, base_id, jaccard) for every
+    verified near-dup.
 
     Parity invariant (tested): this equals minhash_pairs_ds restricted to
     cross pairs — banding and verification are the same math, only the
@@ -762,49 +768,171 @@ def dedup_incremental_ds(sf_dir: str, threshold: float = 0.2,
                         lambda ids: ids % delta_mod == 0, threshold)
 
 
-def _dedup_probe(sf_dir: str, idx: str, delta_mask, threshold: float):
-    """Probe the docs selected by ``delta_mask(doc_id_array)`` against a
-    persisted band index (all completed generations), verify candidates by
-    exact shingle Jaccard, return (delta_id, base_id, jaccard). The index
-    is read lazily inside the probe tasks, so a generation appended before
-    execution IS visible — dedup_ingest sequences probe-then-append
-    explicitly to keep 'match against the index as of this ingest'."""
+_BATCH_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                           ("shingles", pa.list_(pa.uint64())),
+                           ("band_hash", pa.list_(pa.string()))])
+_PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
+_VERIFIED_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                              ("jaccard", pa.float64())])
+_ORIENTED_SCHEMA = pa.schema([("delta_id", pa.int64()),
+                              ("base_id", pa.int64()),
+                              ("jaccard", pa.float64())])
 
-    def delta_bands(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df = df[np.asarray(delta_mask(df["doc_id"].to_numpy(np.int64)))]
-        return from_pandas_clean(_band_rows_df(df))
 
-    def probe(df: pd.DataFrame) -> pd.DataFrame:
+def _collect(ds, schema: pa.Schema) -> pa.Table:
+    """All rows of an output-sized Dataset as one Arrow table of ``schema``,
+    also when it has no row. Iterates the blocks: ``to_arrow_refs`` would
+    run the plan a second time to fetch a schema."""
+    tables = [t for t in ds.iter_batches(batch_size=None,
+                                         batch_format="pyarrow")
+              if t.num_rows]
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _batch_rows(sf_dir: str, delta_mask):
+    """One corpus pass over the batch ``delta_mask(doc_id_array)`` selects:
+    returns (band rows as _band_rows_df gives them, {doc_id → distinct
+    sorted shingle hashes}). Shingling and md5 run once per doc; docs with
+    no shingle get no band and so can never be a candidate. Batch-sized,
+    so collected to the driver."""
+
+    def rows(t: pa.Table) -> pa.Table:
+        t = t.filter(pa.array(
+            np.asarray(delta_mask(t["doc_id"].to_numpy()), dtype=bool)))
+        sh = [np.unique(s)
+              for s in T.batch_shingle_hashes(t["text"].to_pylist())]
+        keep = [i for i, s in enumerate(sh) if len(s)]
+        sh = [sh[i] for i in keep]
+        bh = _band_hashes(sh)
+        return pa.table({
+            "doc_id": pc.cast(t["doc_id"].take(pa.array(keep, pa.int64())),
+                              pa.int64()),
+            "shingles": pa.array(sh, pa.list_(pa.uint64())),
+            "band_hash": pa.array([bh[i * N_BANDS:(i + 1) * N_BANDS]
+                                   for i in range(len(sh))],
+                                  pa.list_(pa.string()))},
+            schema=_BATCH_SCHEMA)
+
+    t = _collect(_docs(sf_dir, ["doc_id", "text"])
+                 .map_batches(rows, batch_format="pyarrow"), _BATCH_SCHEMA)
+    ids = t["doc_id"].to_numpy()
+    bands = _band_frame(ids, pc.list_flatten(t["band_hash"]).to_pylist())
+    flat = pc.list_flatten(t["shingles"]).to_numpy()
+    offs = np.concatenate(
+        [[0], np.cumsum(pc.list_value_length(t["shingles"]).to_numpy())])
+    shingles = {d: flat[offs[i]:offs[i + 1]]
+                for i, d in enumerate(ids.tolist())}
+    return bands, shingles
+
+
+def _probe_pairs(gens: list[str], bands: pd.DataFrame) -> pd.DataFrame:
+    """Distinct candidate pairs (doc_a < doc_b) between the batch's band
+    rows and the index generations ``gens``: one Ray Data map over the hb
+    partitions the batch touches, each task joining its ``hb=<j>`` files
+    from every generation against the batch rows of that partition (a
+    ray.put of {hb → rows}). Self pairs (a batch doc already indexed) are
+    dropped."""
+    import ray
+    import ray.data as rd
+
+    from ..functions.arrowutils import cluster_cpus
+
+    if not gens or bands.empty:
+        return _PAIR_SCHEMA.empty_table().to_pandas()
+    by_hb = {int(h): g[["band", "band_hash", "doc_id"]]
+             for h, g in bands.groupby("hb")}
+    ref = ray.put(by_hb)
+
+    def probe(t: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                              "doc_b": pd.Series(dtype="int64")})
-        hb = int(df["hb"].iloc[0])
-        parts = [p for g in _band_generations(idx)
-                 if os.path.isdir(p := os.path.join(g, f"hb={hb}"))]
-        if not parts:
-            return empty
-        base = pd.concat(
-            [pq.read_table(p, columns=["band", "band_hash", "doc_id"]
-                           ).to_pandas() for p in parts],
-            ignore_index=True)
-        m = df.merge(base, on=["band", "band_hash"],
-                     suffixes=("_d", "_b"))
-        m = m[m["doc_id_d"] != m["doc_id_b"]]
-        if not len(m):
-            return empty
-        a = m["doc_id_d"].to_numpy("int64")
-        b = m["doc_id_b"].to_numpy("int64")
-        return (pd.DataFrame({"doc_a": np.minimum(a, b),
-                              "doc_b": np.maximum(a, b)})
-                .drop_duplicates().reset_index(drop=True))
+        delta = ray.get(ref)
+        lo, hi = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for hb in t["hb"].to_pylist():
+            for g in gens:
+                part = os.path.join(g, f"hb={hb}")
+                if not os.path.isdir(part):
+                    continue
+                base = pq.read_table(
+                    part, columns=["band", "band_hash", "doc_id"]).to_pandas()
+                m = delta[hb].merge(base, on=["band", "band_hash"],
+                                    suffixes=("_d", "_b"))
+                m = m[m["doc_id_d"] != m["doc_id_b"]]
+                a = m["doc_id_d"].to_numpy("int64")
+                b = m["doc_id_b"].to_numpy("int64")
+                lo.append(np.minimum(a, b))
+                hi.append(np.maximum(a, b))
+        return pa.table({"doc_a": np.concatenate(lo),
+                         "doc_b": np.concatenate(hi)}, schema=_PAIR_SCHEMA)
 
-    cand = _distinct_pairs(
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(delta_bands, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(probe, batch_format="pandas"))
+    parts = rd.from_items([{"hb": h} for h in sorted(by_hb)],
+                          override_num_blocks=min(len(by_hb), cluster_cpus()))
+    pairs = _collect(parts.map_batches(probe, batch_format="pyarrow",
+                                       batch_size=None), _PAIR_SCHEMA)
+    return (pairs.to_pandas().drop_duplicates()
+            .sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
+
+
+def _verify_fn(pairs: pd.DataFrame, shingles: dict, threshold: float):
+    """The map-side exact shingle-Jaccard verify of the candidate pairs, as a
+    batch UDF over the corpus (doc_id, text), or None with no candidate. It
+    takes a ray.put of {indexed doc → batch mates} and the mates' shingle
+    sets, and shingles only the candidate docs of its batch, so an indexed
+    doc missing from the corpus drops its pairs. A pair of two batch docs is
+    keyed on its lower id. Emits (doc_a, doc_b, jaccard), doc_a < doc_b,
+    for the pairs at or above ``threshold``."""
+    import ray
+
+    mates: dict[int, list[int]] = {}
+    for lo, hi in zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist()):
+        key, mate = (lo, hi) if hi in shingles else (hi, lo)
+        mates.setdefault(key, []).append(mate)
+    if not mates:
+        return None
+    ref = ray.put((mates, {m: shingles[m] for ms in mates.values()
+                           for m in ms}))
+
+    def verify(t: pa.Table) -> pa.Table:
+        mates, mate_sh = ray.get(ref)
+        ids = t["doc_id"].to_pylist()
+        sel = [i for i, d in enumerate(ids) if d in mates]
+        out = {"doc_a": [], "doc_b": [], "jaccard": []}
+        texts = t["text"].take(pa.array(sel, pa.int64())).to_pylist()
+        for i, sh in zip(sel, T.batch_shingle_hashes(texts)):
+            key, sh = ids[i], np.unique(sh)
+            for m in mates[key]:
+                other = mate_sh[m]
+                inter = len(np.intersect1d(sh, other, assume_unique=True))
+                u = len(sh) + len(other) - inter
+                jac = round(inter / u, 6) if u else 0.0
+                if jac >= threshold:
+                    out["doc_a"].append(min(key, m))
+                    out["doc_b"].append(max(key, m))
+                    out["jaccard"].append(jac)
+        return pa.table(out, schema=_VERIFIED_SCHEMA)
+
+    return verify
+
+
+def _dedup_probe(sf_dir: str, idx: str, delta_mask, threshold: float,
+                 batch=None):
+    """Probe the docs selected by ``delta_mask(doc_id_array)`` against a
+    persisted band index (all completed generations), verify candidates by
+    exact shingle Jaccard, return a Dataset of (delta_id, base_id,
+    jaccard). No shuffle: the batch rows (``batch``, from _batch_rows when
+    not given) are collected, the index partitions are probed when this
+    is CALLED (_probe_pairs), and only the verify pass stays lazy. So the
+    generations are those completed at the call: one appended after it is
+    not visible. A pair of two batch docs that are both indexed is kept
+    and oriented by ``delta_mask(doc_a)``."""
+    import ray.data as rd
+
+    bands, shingles = (batch if batch is not None
+                       else _batch_rows(sf_dir, delta_mask))
+    verify = _verify_fn(_probe_pairs(_band_generations(idx), bands),
+                        shingles, threshold)
+    if verify is None:
+        return rd.from_arrow(_ORIENTED_SCHEMA.empty_table())
 
     def orient(t: pa.Table) -> pa.Table:
         a = np.asarray(t["doc_a"], dtype=np.int64)
@@ -816,8 +944,31 @@ def _dedup_probe(sf_dir: str, idx: str, delta_mask, threshold: float):
             "base_id": pa.array(np.where(a_delta, b, a)),
             "jaccard": pa.array(jac)})
 
-    return (_minhash_verify_cogroup(sf_dir, cand, threshold)
-            .map_batches(orient, batch_format="pyarrow"))
+    def verify_oriented(t: pa.Table) -> pa.Table:
+        # one UDF: a second fused map would turn the verify's empty
+        # outputs into schema-less blocks
+        return orient(verify(t))
+
+    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        verify_oriented, batch_format="pyarrow")
+
+
+def _write_band_generation(idx: str, name: str, bands: pd.DataFrame) -> str:
+    """Write band rows as generation ``gen-<name>``: one Parquet file per hb
+    partition, atomically and idempotently (_write_generation_atomic). A
+    batch with no band rows still gets its (empty) ``_DONE`` generation."""
+    import pyarrow.parquet as pq
+
+    def build(tmp: str) -> None:
+        for hb, rows in bands.groupby("hb"):
+            part = os.path.join(tmp, f"hb={hb}")
+            os.makedirs(part)
+            pq.write_table(
+                from_pandas_clean(rows[["band", "band_hash", "doc_id"]]),
+                os.path.join(part, "part-0.parquet"))
+
+    os.makedirs(idx, exist_ok=True)
+    return _write_generation_atomic(os.path.join(idx, f"gen-{name}"), build)
 
 
 def dedup_ingest(sf_dir: str, idx: str, delta_mask, gen_name: str,
@@ -825,15 +976,19 @@ def dedup_ingest(sf_dir: str, idx: str, delta_mask, gen_name: str,
     """One full ingest step of the always-on dedup service: (1) probe the
     arriving batch against the index AS OF NOW (every persisted
     generation), (2) fold the batch's band rows in as generation
-    ``gen-<gen_name>`` so the NEXT ingest sees them. Returns the verified
-    (delta_id, base_id, jaccard) pairs — output-sized, safe to collect.
-    Matches WITHIN one arriving batch are by-design not reported (the
-    batch isn't in the index while it probes); the two-generation
-    equivalence to the from-scratch pair set is pinned in
-    tests/test_docs_ops.py."""
-    out = _dedup_probe(sf_dir, idx, delta_mask, threshold).to_pandas()
-    append_band_generation(idx, sf_dir, delta_mask, gen_name)
-    return out
+    ``gen-<gen_name>`` so the NEXT ingest sees them. The batch rows are
+    computed once, in one corpus pass, and serve both steps; the verify is
+    the only other corpus pass, and nothing is shuffled. Returns the
+    verified (delta_id, base_id, jaccard) pairs sorted by (delta_id,
+    base_id) — output-sized, safe to collect. Matches WITHIN one arriving
+    batch are by-design not reported (the batch isn't in the index while
+    it probes); the two-generation equivalence to the from-scratch pair
+    set is pinned in tests/test_docs_ops.py."""
+    batch = _batch_rows(sf_dir, delta_mask)
+    out = _collect(_dedup_probe(sf_dir, idx, delta_mask, threshold, batch),
+                   _ORIENTED_SCHEMA).to_pandas()
+    _write_band_generation(idx, gen_name, batch[0])
+    return out.sort_values(["delta_id", "base_id"]).reset_index(drop=True)
 
 
 PREFIX_PAIR_THRESHOLD = 0.8   # near-dup bar for the exact self-join

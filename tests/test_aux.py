@@ -241,6 +241,32 @@ def test_cli_ingest_subcommand(sf_tag, tmp_path):
             for d, g in got2.groupby("delta_id")} == want
 
 
+def test_cli_dedup_ingest_same_matches_at_one_and_two_slots(sf_tag, tmp_path):
+    """`ingest --kind dedup` finishes at 1 and at 2 CPU slots within a
+    deadline, no execution plan it logs has an all-to-all (shuffle)
+    operator, and both runs report the same matches. SUBPROCESS, so the
+    session's cluster is left alone."""
+    import subprocess
+    import sys
+
+    import pandas as pd
+
+    got = {}
+    for cpus in (1, 2):
+        out = str(tmp_path / f"matches{cpus}.parquet")
+        r = subprocess.run(
+            [sys.executable, "-m", "rkts_migration_ray", "ingest", "--kind",
+             "dedup", "--sf", sf_tag, "--index", str(tmp_path / f"idx{cpus}"),
+             "--gen", "batch1", "--out", out, "--num-cpus", str(cpus)],
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=240)
+        assert r.returncode == 0, r.stderr[-500:]
+        plans = [ln for ln in r.stderr.splitlines()
+                 if "Execution plan of Dataset" in ln]
+        assert plans and not any("AllToAllOperator" in p for p in plans), plans
+        got[cpus] = pd.read_parquet(out)
+    assert len(got[1]) > 0 and got[1].equals(got[2])
+
+
 def test_cli_query_list_starts_no_ray(monkeypatch, capsys):
     """`query --list` only reads the registry: it must answer without
     starting (or stopping) a Ray session."""

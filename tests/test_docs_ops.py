@@ -2492,6 +2492,117 @@ def test_dedup_ingest_two_generations_match_from_scratch(sf_tag, tmp_path):
     assert len(want_a) + len(want_b) > 0
 
 
+def test_dedup_ingest_reingest_and_empty_batch(sf_tag, tmp_path):
+    """Edge cases of the shuffle-free probe, against the from-scratch pair
+    set: a probe sees only the generations complete at its call;
+    re-ingesting a batch whose docs are already indexed reports no self
+    pair, and reports each pair between two batch docs once, oriented by
+    delta_mask(doc_a); an empty batch returns the three typed columns and
+    still publishes a _DONE generation. A batch generation holds at
+    most one Parquet file per hb partition, with the rows the corpus-wide
+    writer gives, and compacts together with it."""
+    import glob
+    import os
+
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    from rkts_migration_ray.pipelines import docs
+
+    def batch(ids):
+        return ids % 10 == 0
+
+    idx = str(tmp_path / "band")
+    docs.append_band_generation(idx, sf_tag, lambda ids: ~batch(ids), "base")
+    # the probe sees the generations complete when it is called: gen-a,
+    # published before this Dataset executes, must not add pairs
+    early = docs._dedup_probe(sf_tag, idx, batch, 0.2)
+    first = docs.dedup_ingest(sf_tag, idx, batch, "a")
+    again = docs.dedup_ingest(sf_tag, idx, batch, "a2")
+
+    mp = docs.minhash_pairs_ds(sf_tag)
+    mp = mp if isinstance(mp, pd.DataFrame) else mp.to_pandas()
+    want_first, want_again = set(), set()
+    for a, b, j in mp[["doc_a", "doc_b", "jaccard"]].itertuples(index=False):
+        a, b, j = int(a), int(b), round(float(j), 6)
+        in_a, in_b = a % 10 == 0, b % 10 == 0
+        if in_a != in_b:
+            row = (a, b, j) if in_a else (b, a, j)
+            want_first.add(row)
+            want_again.add(row)
+        elif in_a:  # both in the batch: visible once the batch is indexed
+            want_again.add((a, b, j))
+
+    def rows(df):
+        return [(int(d), int(x), round(float(j), 6)) for d, x, j in
+                df[["delta_id", "base_id", "jaccard"]].itertuples(index=False)]
+
+    assert set(rows(first)) == want_first and len(first) == len(want_first)
+    assert sorted(rows(early.to_pandas())) == sorted(want_first)
+    assert set(rows(again)) == want_again and len(again) == len(want_again)
+    assert want_again - want_first  # the fixture has within-batch pairs
+    assert (again["delta_id"] != again["base_id"]).all()
+
+    def gen_rows(gen, files_per_part=None):
+        out = []
+        for part in glob.glob(os.path.join(gen, "hb=*")):
+            files = glob.glob(os.path.join(part, "*.parquet"))
+            assert files_per_part in (None, len(files)), files
+            for f in files:
+                t = pq.read_table(f, columns=["band", "band_hash", "doc_id"])
+                out += [(os.path.basename(part), *r.values())
+                        for r in t.to_pylist()]
+        return sorted(out)
+
+    ref = str(tmp_path / "ref")
+    docs.append_band_generation(ref, sf_tag, batch, "a")
+    assert gen_rows(os.path.join(idx, "gen-a"), files_per_part=1) == gen_rows(
+        os.path.join(ref, "gen-a")) != []
+
+    none = docs.dedup_ingest(sf_tag, idx, lambda ids: ids < 0, "none")
+    assert list(none.columns) == ["delta_id", "base_id", "jaccard"]
+    assert len(none) == 0
+    assert [str(t) for t in none.dtypes] == ["int64", "int64", "float64"]
+    gen = os.path.join(idx, "gen-none")
+    assert gen in docs._band_generations(idx)
+    assert glob.glob(os.path.join(gen, "hb=*")) == []
+
+    docs.compact_generations(idx)
+    assert len(docs._band_generations(idx)) == 1
+    after = docs._dedup_probe(sf_tag, idx, batch, 0.2).to_pandas()
+    assert sorted(rows(after)) == sorted(want_again)
+
+
+def test_batch_shingle_hashes_in_a_ray_task(sf_tag):
+    """DuckDB is a worker dependency: the batch shingle kernel runs inside
+    Ray tasks (the dedup probe's batch and verify passes). In a task, on
+    fixture documents plus short texts, it gives the same shingle sets as
+    the hashlib kernel."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from rkts_migration_ray.pipelines import docs
+
+    texts = pq.read_table(
+        os.path.join(docs.resolve_sf_dir(sf_tag), "documents.parquet"),
+        columns=["text"])["text"].to_pylist()[:200] + ["", "two words",
+                                                       "just three words"]
+
+    @ray.remote
+    def in_worker(texts):
+        from rkts_migration_ray.functions import text as T
+
+        return [sorted(int(h) for h in s) for s in T.batch_shingle_hashes(texts)]
+
+    got = ray.get(in_worker.remote(texts))
+    want = [sorted(int(h) for h in T.shingle_hashes(T.tokens_lower(x)))
+            for x in texts]
+    assert [sorted(set(g)) for g in got] == want
+    assert got[-3:] == [[], [], want[-1]] and len(want[-1]) == 1
+
+
 def test_band_index_cache_invalidates_on_source_change(sf_tag, tmp_path):
     """Round-4 advice: a fixture parquet regenerated in place must not be
     served a stale persisted index — the cache key carries the source's
