@@ -499,35 +499,32 @@ def minhash_pairs_ds(sf_dir: str, threshold: float = 0.2,
     for pid, (da, db) in enumerate(zip(cand["doc_a"], cand["doc_b"])):
         index.setdefault(int(da), []).append((pid, 0))
         index.setdefault(int(db), []).append((pid, 1))
-    pairs_ref = ray.put((index, cand["doc_a"].to_numpy("int64"),
-                         cand["doc_b"].to_numpy("int64")))
+    index_ref = ray.put(index)
 
-    class EmitShingles:
-        def __init__(self, ref):
-            self.index, self.da, self.db = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = t.to_pandas()
-            # shingle only candidate docs, all in one batched md5 pass
-            memb_rows = [(x, did, m) for x, did in
-                         zip(df["text"], df["doc_id"])
-                         if (m := self.index.get(int(did)))]
-            sh_all = T.batch_shingle_hashes([x for x, _, _ in memb_rows])
-            out = {"pair_id": [], "side": [], "shingles": []}
-            for sh_u, (_, did, memb) in zip(sh_all, memb_rows):
-                sh = np.sort(sh_u).astype("int64")
-                for pid, side in memb:
-                    out["pair_id"].append(pid)
-                    out["side"].append(side)
-                    out["shingles"].append(sh)
-            if not out["pair_id"]:
-                return pa.schema([("pair_id", pa.int64()),
-                                  ("side", pa.int64()),
-                                  ("shingles", pa.list_(pa.int64()))]).empty_table()
-            return from_pandas_clean(pd.DataFrame({
-                "pair_id": pd.Series(out["pair_id"], dtype="int64"),
-                "side": pd.Series(out["side"], dtype="int64"),
-                "shingles": out["shingles"]}))
+    def emit_shingles(t: pa.Table) -> pa.Table:
+        # a stateless task: the broadcast index is fetched per batch (plasma
+        # caches the object per node), so there is no actor pool to start
+        index = ray.get(index_ref)
+        df = t.to_pandas()
+        # shingle only candidate docs, all in one batched md5 pass
+        memb_rows = [(x, did, m) for x, did in zip(df["text"], df["doc_id"])
+                     if (m := index.get(int(did)))]
+        sh_all = T.batch_shingle_hashes([x for x, _, _ in memb_rows])
+        out = {"pair_id": [], "side": [], "shingles": []}
+        for sh_u, (_, did, memb) in zip(sh_all, memb_rows):
+            sh = np.sort(sh_u).astype("int64")
+            for pid, side in memb:
+                out["pair_id"].append(pid)
+                out["side"].append(side)
+                out["shingles"].append(sh)
+        if not out["pair_id"]:
+            return pa.schema([("pair_id", pa.int64()),
+                              ("side", pa.int64()),
+                              ("shingles", pa.list_(pa.int64()))]).empty_table()
+        return from_pandas_clean(pd.DataFrame({
+            "pair_id": pd.Series(out["pair_id"], dtype="int64"),
+            "side": pd.Series(out["side"], dtype="int64"),
+            "shingles": out["shingles"]}))
 
     def verify_pair(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("side")
@@ -542,9 +539,7 @@ def minhash_pairs_ds(sf_dir: str, threshold: float = 0.2,
                              "jaccard": [round(jac, 6)]})
 
     verified = (_docs(sf_dir, ["doc_id", "text"])
-                .map_batches(EmitShingles, batch_format="pyarrow",
-                             fn_constructor_kwargs={"ref": pairs_ref},
-                             concurrency=(1, 4))
+                .map_batches(emit_shingles, batch_format="pyarrow")
                 .groupby("pair_id")
                 .map_groups(verify_pair, batch_format="pandas")
                 .to_pandas())
@@ -645,18 +640,38 @@ def append_band_generation(idx: str, sf_dir: str, mask, name: str) -> str:
                      .write_parquet(tmp, partition_cols=["hb"])))
 
 
+GEN_SOURCES = "_SOURCES"  # a compacted generation's list of what it folded
+
+
+def _listed_sources(gen: str) -> list[str]:
+    """Names of the generations a compacted generation folded, as recorded
+    in it before its publish (empty once their deletion finished)."""
+    import json
+
+    p = os.path.join(gen, GEN_SOURCES)
+    if not os.path.exists(p):
+        return []
+    with open(p) as f:
+        return json.load(f)
+
+
 def _band_generations(idx: str) -> list[str]:
     """Completed generations of a generational index (band or IVF),
     oldest-first (lexicographic — callers pick sortable names). In-flight
     or crash-orphaned ``*.tmp.<pid>`` build dirs are invisible EVEN IF they
     already contain a _DONE marker (a kill between the marker write and the
     rename must not leave a phantom generation that double-counts rows —
-    found by round-5 review)."""
+    found by round-5 review). So is every generation that a completed
+    compacted generation lists as folded (compact_generations): a crash
+    between a compaction's publish and the deletion of its sources leaves
+    each row visible once."""
     import glob as _glob
 
-    return sorted(g for g in _glob.glob(os.path.join(idx, "gen-*"))
+    gens = sorted(g for g in _glob.glob(os.path.join(idx, "gen-*"))
                   if ".tmp." not in os.path.basename(g)
                   and os.path.exists(os.path.join(g, "_DONE")))
+    folded = {name for g in gens for name in _listed_sources(g)}
+    return [g for g in gens if os.path.basename(g) not in folded]
 
 
 def _write_generation_atomic(gen: str, build) -> str:
@@ -684,6 +699,18 @@ def _write_generation_atomic(gen: str, build) -> str:
     return gen
 
 
+def _retire_sources(gen: str) -> None:
+    """Finish a compaction: delete the generations ``gen`` folded, then its
+    list of them (so a later generation may reuse a folded name)."""
+    import shutil
+
+    idx = os.path.dirname(gen)
+    for name in _listed_sources(gen):
+        shutil.rmtree(os.path.join(idx, name), ignore_errors=True)
+    if os.path.exists(os.path.join(gen, GEN_SOURCES)):
+        os.remove(os.path.join(gen, GEN_SOURCES))
+
+
 def compact_generations(idx: str) -> str:
     """LSM compaction for a generational index (band OR ivf — any
     ``gen-*/<part>=<v>/`` layout): fold every completed generation into one,
@@ -692,13 +719,20 @@ def compact_generations(idx: str) -> str:
     maintenance like any LSM compactor — don't run concurrently with
     probes of the same index. Each partition folds independently (read k
     small files, write one), so a production run maps this loop over Ray
-    tasks; at index scale the driver loop is already I/O-bound."""
+    tasks; at index scale the driver loop is already I/O-bound.
+
+    Crash-safe: the compacted generation records the names it folds
+    (``_SOURCES``) before its publish, and _band_generations hides them
+    from then on, so a crash before their deletion double-counts nothing.
+    The next compaction finishes such an interrupted one first."""
     import glob as _glob
-    import shutil
+    import json
 
     import pyarrow.parquet as pq
 
     gens = _band_generations(idx)
+    for g in gens:
+        _retire_sources(g)
     if len(gens) <= 1:
         return gens[0] if gens else ""
     # collision-free output name: first compactNNN slot with no existing
@@ -719,10 +753,11 @@ def compact_generations(idx: str) -> str:
             os.makedirs(os.path.join(tmp, part), exist_ok=True)
             pq.write_table(pa.concat_tables(tables),
                            os.path.join(tmp, part, "part-0.parquet"))
+        with open(os.path.join(tmp, GEN_SOURCES), "w") as f:
+            json.dump([os.path.basename(g) for g in gens], f)
 
     _write_generation_atomic(out, build)
-    for g in gens:
-        shutil.rmtree(g, ignore_errors=True)
+    _retire_sources(out)
     return out
 
 
@@ -953,19 +988,20 @@ def _dedup_probe(sf_dir: str, idx: str, delta_mask, threshold: float,
         verify_oriented, batch_format="pyarrow")
 
 
-def _write_band_generation(idx: str, name: str, bands: pd.DataFrame) -> str:
-    """Write band rows as generation ``gen-<name>``: one Parquet file per hb
-    partition, atomically and idempotently (_write_generation_atomic). A
-    batch with no band rows still gets its (empty) ``_DONE`` generation."""
+def _write_generation(idx: str, name: str, rows: pa.Table, part: str) -> str:
+    """Write batch rows as generation ``gen-<name>`` of a generational index:
+    one Parquet file per ``<part>=<v>`` directory, holding the rows with
+    that value without the ``part`` column, atomically and idempotently
+    (_write_generation_atomic). A batch with no rows still gets its (empty)
+    ``_DONE`` generation. The band (hb) and IVF (list_id) ingests share it."""
     import pyarrow.parquet as pq
 
     def build(tmp: str) -> None:
-        for hb, rows in bands.groupby("hb"):
-            part = os.path.join(tmp, f"hb={hb}")
-            os.makedirs(part)
+        for v in np.unique(rows[part].to_numpy()).tolist():
+            os.makedirs(os.path.join(tmp, f"{part}={v}"))
             pq.write_table(
-                from_pandas_clean(rows[["band", "band_hash", "doc_id"]]),
-                os.path.join(part, "part-0.parquet"))
+                rows.filter(pc.equal(rows[part], v)).drop_columns([part]),
+                os.path.join(tmp, f"{part}={v}", "part-0.parquet"))
 
     os.makedirs(idx, exist_ok=True)
     return _write_generation_atomic(os.path.join(idx, f"gen-{name}"), build)
@@ -987,7 +1023,8 @@ def dedup_ingest(sf_dir: str, idx: str, delta_mask, gen_name: str,
     batch = _batch_rows(sf_dir, delta_mask)
     out = _collect(_dedup_probe(sf_dir, idx, delta_mask, threshold, batch),
                    _ORIENTED_SCHEMA).to_pandas()
-    _write_band_generation(idx, gen_name, batch[0])
+    _write_generation(idx, gen_name, from_pandas_clean(
+        batch[0][["band", "band_hash", "doc_id", "hb"]]), "hb")
     return out.sort_values(["delta_id", "base_id"]).reset_index(drop=True)
 
 
@@ -3608,9 +3645,15 @@ class KnnPartial:
 
 
 def _final_topk(df: pd.DataFrame, k: int = KNN_K) -> pd.DataFrame:
-    df = df.sort_values(["cos_sim", "neighbor_id"], ascending=[False, True],
-                        kind="stable").head(k).reset_index(drop=True)
-    df["rank"] = pd.Series(range(1, len(df) + 1), dtype="int64")
+    """Merge partial top-k candidates (query_id, neighbor_id, cos_sim) into
+    each query's final top-k: by cos_sim descending, ties to the lower
+    neighbor_id, ranked from 1 and rounded. Takes one query's group (a
+    map_groups UDF) or the candidates of many queries at once."""
+    df = (df.sort_values(["query_id", "cos_sim", "neighbor_id"],
+                         ascending=[True, False, True], kind="stable")
+          .groupby("query_id", sort=False).head(k).reset_index(drop=True))
+    df["rank"] = (df.groupby("query_id", sort=False).cumcount() + 1
+                  ).astype("int64")
     df["cos_sim"] = round_half_away(df["cos_sim"].to_numpy())
     return df[["query_id", "neighbor_id", "rank", "cos_sim"]]
 
@@ -4201,10 +4244,8 @@ def ensure_ivf_index(sf_dir: str, n_list: int = IVF_N_LIST) -> str:
     C = _ivf_train_centroids(sf_dir, n_list)
 
     def add_list(t: pa.Table) -> pa.Table:
-        E, _ = _emb_matrix(t)
-        En = E / np.linalg.norm(E, axis=1, keepdims=True)
-        lists = (En @ C.T).argmax(axis=1).astype(np.int64)
-        return t.append_column("list_id", pa.array(lists))
+        return t.append_column("list_id",
+                               pa.array(_nearest_list(_emb_matrix(t)[0], C)))
 
     tmp = out + f".tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -4288,9 +4329,7 @@ def append_ivf_generation(idx: str, sf_dir: str, mask, name: str) -> str:
         t = t.filter(pa.array(keep))
         if t.num_rows == 0:
             return t.append_column("list_id", pa.array([], pa.int64()))
-        En = E[keep] / np.linalg.norm(E[keep], axis=1, keepdims=True)
-        lists = (En @ C.T).argmax(axis=1).astype(np.int64)
-        return t.append_column("list_id", pa.array(lists))
+        return t.append_column("list_id", pa.array(_nearest_list(E[keep], C)))
 
     return _write_generation_atomic(
         os.path.join(idx, f"gen-{name}"),
@@ -4340,96 +4379,120 @@ def ensure_ivf_base_index(sf_dir: str, n_list: int = IVF_N_LIST,
                                lambda ids: ids % delta_mod != 0, n_list)
 
 
-def _ivf_probe_topk(sf_dir: str, idx: str, delta_mask, k: int = KNN_K,
-                    n_probe: int | None = None):
-    """Top-k cosine neighbors of every delta vector among the vectors
-    ALREADY IN THE INDEX (all completed generations). Distributed IVF-join
-    shape (same as the knn_graph_ivf default): delta rows explode to their
-    ``n_probe`` probe lists and shuffle BY LIST; each list group reads ITS
-    index partitions locally (across generations) and matmuls; a per-delta
-    groupby merges list-local top-k. ``n_probe=None`` probes every list —
-    the top-k is then EXACT (bit-equal to brute force over the indexed
-    set; the oracle twin relies on this). Production uses n_probe ≪
-    n_list, making work scale with the probed fraction."""
-    import glob as _glob
+_TOPK_SCHEMA = pa.schema([("query_id", pa.int64()),
+                          ("neighbor_id", pa.int64()),
+                          ("cos_sim", pa.float64())])
 
+
+def _embed_batch(sf_dir: str, delta_mask) -> pa.Table:
+    """One corpus pass: the (vec_id, embedding) rows ``delta_mask(vec_id
+    array)`` selects, with the corpus's types. Batch-sized, so collected to
+    the driver."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    path = os.path.join(resolve_sf_dir(sf_dir), "embeddings.parquet")
+    footer = pq.read_schema(path)
+    schema = pa.schema([footer.field("vec_id"), footer.field("embedding")])
+
+    def rows(t: pa.Table) -> pa.Table:
+        keep = np.asarray(delta_mask(np.asarray(t["vec_id"], dtype=np.int64)),
+                          dtype=bool)
+        return t.filter(pa.array(keep)).replace_schema_metadata(None)
+
+    return _collect(rd.read_parquet(path, columns=["vec_id", "embedding"])
+                    .map_batches(rows, batch_format="pyarrow"), schema)
+
+
+def _nearest_list(E: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """IVF list of each embedding row: its nearest (max cosine) centroid."""
+    if not len(E):
+        return np.empty(0, np.int64)
+    En = E / np.linalg.norm(E, axis=1, keepdims=True)
+    return (En @ C.T).argmax(axis=1).astype(np.int64)
+
+
+def _ivf_probe_topk(sf_dir: str, idx: str, delta_mask, k: int = KNN_K,
+                    n_probe: int | None = None,
+                    batch: pa.Table | None = None) -> pd.DataFrame:
+    """Top-k cosine neighbors of every delta vector among the vectors
+    ALREADY IN THE INDEX, as a (delta_id, base_id, rank, cos_sim) frame
+    sorted by (delta_id, rank). The index generations are those completed
+    when this is CALLED: one appended after it is not probed.
+
+    No shuffle: the batch rows (``batch``, from _embed_batch when not given)
+    are routed to their ``n_probe`` nearest lists on the driver and shipped
+    in one ray.put of {list_id → (ids, Q)}; one Ray Data map over the probed
+    lists reads each ``list_id=<j>`` across the generations, matmuls and
+    emits a list-local top-k; the driver merges them with _final_topk.
+    ``n_probe=None`` probes every list — the top-k is then EXACT (bit-equal
+    to brute force over the indexed set; the oracle twin relies on this).
+    Production uses n_probe ≪ n_list, making work scale with the probed
+    fraction."""
+    import glob as _glob
+
+    import ray
+    import ray.data as rd
+
+    from ..functions.arrowutils import cluster_cpus
+
     C = np.load(os.path.join(idx, "centroids.npy"))
-    n_list = len(C)
-    probes = n_list if n_probe is None else min(n_probe, n_list)
+    probes = len(C) if n_probe is None else min(n_probe, len(C))
     gens = _ivf_generations(idx)
-
-    def route(t: pa.Table) -> pa.Table:
-        E, ids = _emb_matrix(t)
-        keep = np.asarray(delta_mask(np.asarray(ids, dtype=np.int64)))
-        t = t.filter(pa.array(keep))
-        if t.num_rows == 0:
-            return pa.table({"list_id": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "embedding": pa.array(
-                                 [], pa.list_(pa.float64()))})
-        En = E[keep] / np.linalg.norm(E[keep], axis=1, keepdims=True)
+    rows = batch if batch is not None else _embed_batch(sf_dir, delta_mask)
+    E, qids = _emb_matrix(rows)
+    by_list = {}
+    if len(qids) and gens:
+        En = E / np.linalg.norm(E, axis=1, keepdims=True)
         order = np.argsort(-(En @ C.T), axis=1)[:, :probes]
-        n = t.num_rows
-        take = np.repeat(np.arange(n), probes)
-        return pa.table({
-            "list_id": pa.array(order.reshape(-1).astype(np.int64)),
-            "vec_id": t["vec_id"].take(pa.array(take)),
-            "embedding": pc.cast(t["embedding"].take(pa.array(take)),
-                                 pa.list_(pa.float64()))})
+        for j in np.unique(order).tolist():
+            sel = (order == j).any(axis=1)
+            by_list[j] = (np.asarray(qids[sel], np.int64), E[sel])
+    if not by_list:
+        return pd.DataFrame({"delta_id": pd.Series(dtype="int64"),
+                             "base_id": pd.Series(dtype="int64"),
+                             "rank": pd.Series(dtype="int64"),
+                             "cos_sim": pd.Series(dtype="float64")})
+    ref = ray.put(by_list)
 
-    def probe_list(df: pd.DataFrame) -> pd.DataFrame:
+    def probe(t: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        empty = pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                              "neighbor_id": pd.Series(dtype="int64"),
-                              "cos_sim": pd.Series(dtype="float64")})
-        j = int(df["list_id"].iloc[0])
-        files = [f for g in gens for f in sorted(
-            _glob.glob(os.path.join(g, f"list_id={j}", "*.parquet")))]
-        if not files:
-            return empty
-        base = pq.read_table(files, columns=["vec_id", "embedding"])
-        B, bids = _emb_matrix(base)
-        Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
-        Q = np.stack([np.asarray(v, dtype=np.float64)
-                      for v in df["embedding"]])
-        Qn = Q / np.linalg.norm(Q, axis=1, keepdims=True)
-        sims = Qn @ Bn.T
-        out = {"query_id": [], "neighbor_id": [], "cos_sim": []}
-        qids = df["vec_id"].to_numpy("int64")
-        for qi, qid in enumerate(qids):
-            s = sims[qi]
-            top = np.argsort(-s, kind="stable")[:k]
-            out["query_id"].extend([int(qid)] * len(top))
-            out["neighbor_id"].extend(bids[top])
-            out["cos_sim"].extend(s[top])
-        return pd.DataFrame({
-            "query_id": pd.Series(out["query_id"], dtype="int64"),
-            "neighbor_id": pd.Series(out["neighbor_id"], dtype="int64"),
-            "cos_sim": pd.Series(out["cos_sim"], dtype="float64")})
+        lists = ray.get(ref)
+        out = [_TOPK_SCHEMA.empty_table()]
+        for j in t["list_id"].to_pylist():
+            files = [f for g in gens for f in sorted(
+                _glob.glob(os.path.join(g, f"list_id={j}", "*.parquet")))]
+            if not files:
+                continue
+            B, bids = _emb_matrix(
+                pq.read_table(files, columns=["vec_id", "embedding"]))
+            Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
+            ids, Q = lists[j]
+            sims = (Q / np.linalg.norm(Q, axis=1, keepdims=True)) @ Bn.T
+            top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+            out.append(pa.table({
+                "query_id": np.repeat(ids, top.shape[1]),
+                "neighbor_id": np.asarray(bids, np.int64)[top].reshape(-1),
+                "cos_sim": np.take_along_axis(sims, top, 1).reshape(-1)},
+                schema=_TOPK_SCHEMA))
+        return pa.concat_tables(out)
 
-    def rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns(["delta_id", "base_id", "rank", "cos_sim"])
-
-    d = resolve_sf_dir(sf_dir)
-    return (rd.read_parquet(os.path.join(d, "embeddings.parquet"),
-                            columns=["vec_id", "embedding"])
-            .map_batches(route, batch_format="pyarrow")
-            .groupby("list_id")
-            .map_groups(probe_list, batch_format="pandas")
-            .groupby("query_id")
-            .map_groups(lambda df: _final_topk(df, k),
-                        batch_format="pandas")
-            .map_batches(rename, batch_format="pyarrow"))
+    parts = rd.from_items([{"list_id": j} for j in sorted(by_list)],
+                          override_num_blocks=min(len(by_list),
+                                                  cluster_cpus()))
+    cand = _collect(parts.map_batches(probe, batch_format="pyarrow",
+                                      batch_size=None), _TOPK_SCHEMA)
+    return (_final_topk(cand.to_pandas(), k)
+            .set_axis(["delta_id", "base_id", "rank", "cos_sim"], axis=1))
 
 
 def embed_ingest_ds(sf_dir: str, k: int = KNN_K,
-                    delta_mod: int = EMBED_INGEST_MOD):
+                    delta_mod: int = EMBED_INGEST_MOD) -> pd.DataFrame:
     """Query surface: the arriving batch's exact top-k against the base
     index (full probe — exact, so the DuckDB brute-force twin matches
-    hash-for-hash). Output (delta_id, base_id, rank, cos_sim)."""
+    hash-for-hash), with the index generations as of the call. Output
+    (delta_id, base_id, rank, cos_sim), collected: it is batch-sized."""
     idx = ensure_ivf_base_index(sf_dir, delta_mod=delta_mod)
     return _ivf_probe_topk(sf_dir, idx,
                            lambda ids: ids % delta_mod == 0, k)
@@ -4438,13 +4501,22 @@ def embed_ingest_ds(sf_dir: str, k: int = KNN_K,
 def embed_ingest(sf_dir: str, idx: str, delta_mask, gen_name: str,
                  k: int = KNN_K, n_probe: int | None = None) -> pd.DataFrame:
     """One full ingest step of the always-on vector-index service: (1)
-    top-k of the arriving batch against the index AS OF NOW, (2) fold the
-    batch in as generation ``gen-<gen_name>`` so the next batch sees it.
-    Returns the (delta-sized) neighbor frame — safe to collect. The
-    two-generation equivalence to from-scratch brute force is pinned in
+    top-k of the arriving batch against the index AS OF THE CALL (every
+    generation completed by then), (2) fold the batch in as generation
+    ``gen-<gen_name>`` so the next batch sees it. The batch rows are read
+    in one corpus pass and serve both steps: the probe (_ivf_probe_topk)
+    and the generation write, one file per ``list_id=`` directory, with
+    each vector in the list of its nearest frozen centroid. Nothing is
+    shuffled. Returns the (delta-sized) neighbor frame. The two-generation
+    equivalence to from-scratch brute force is pinned in
     tests/test_docs_ops.py."""
-    out = _ivf_probe_topk(sf_dir, idx, delta_mask, k, n_probe).to_pandas()
-    append_ivf_generation(idx, sf_dir, delta_mask, gen_name)
+    rows = _embed_batch(sf_dir, delta_mask)
+    out = _ivf_probe_topk(sf_dir, idx, delta_mask, k, n_probe, batch=rows)
+    lists = _nearest_list(_emb_matrix(rows)[0],
+                          np.load(os.path.join(idx, "centroids.npy")))
+    _write_generation(idx, gen_name,
+                      rows.append_column("list_id", pa.array(lists)),
+                      "list_id")
     return out
 
 

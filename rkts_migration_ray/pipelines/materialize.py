@@ -486,18 +486,20 @@ def _gen_path(out_dir: str, gen: int) -> str:
     return os.path.join(out_dir, GEN_DIRNAME, f"gen-{gen:04d}.json")
 
 
-def generation_files(out_dir: str) -> list[dict]:
+def generation_files(out_dir: str, done: dict | None = None) -> list[dict]:
     """Committed generation files, ascending. A generation is committed iff
     its json exists (the rename IS the commit point) and every fragment it
     lists still exists — except fragments already folded into their
     bucket's manifest (compacted_gen >= gen), which compaction may have
-    removed."""
+    removed. ``done`` is the committed-bucket listing to judge that by
+    (listed here when not given)."""
     import json
 
     gdir = os.path.join(out_dir, GEN_DIRNAME)
     if not os.path.isdir(gdir):
         return []
-    done = mf.committed_buckets(out_dir)
+    if done is None:
+        done = mf.committed_buckets(out_dir)
     out = []
     for name in sorted(os.listdir(gdir)):
         if not (name.startswith("gen-") and name.endswith(".json")):
@@ -520,8 +522,18 @@ def generation_files(out_dir: str) -> list[dict]:
     return out
 
 
+def graph_state(out_dir: str) -> tuple[dict, list[dict]]:
+    """One listing of a graph's persisted state: (committed buckets,
+    committed generation files). Each listing reads every bucket manifest
+    and data-file footer, so a read or an update lists once and passes the
+    snapshot on."""
+    done = mf.committed_buckets(out_dir)
+    return done, generation_files(out_dir, done)
+
+
 def graph_tombstones(out_dir: str, gens: list[dict] | None = None) -> dict:
-    """graph uri -> highest generation that superseded it."""
+    """graph uri -> highest generation that superseded it (over ``gens``,
+    listed here when not given)."""
     tomb: dict[str, int] = {}
     for g in (generation_files(out_dir) if gens is None else gens):
         for gr in g.get("superseded", []):
@@ -553,7 +565,7 @@ def update_graph(out_dir: str, delta_triples_ds, superseded_graphs,
     hazard as resume, state/manifest.py:82)."""
     import json
 
-    done = mf.committed_buckets(out_dir)
+    done, gens = graph_state(out_dir)
     if not done:
         raise ValueError(f"update_graph: no committed base graph in {out_dir}")
     mf.assert_source_matches(done, "")  # hash-fp check only
@@ -565,7 +577,6 @@ def update_graph(out_dir: str, delta_triples_ds, superseded_graphs,
     # and the buckets' compacted_gen watermarks: compaction retires gen
     # files, and reusing a retired number would make the new fragments
     # read as already-folded (invisible)
-    gens = generation_files(out_dir)
     hwm = max([int(g["gen"]) for g in gens]
               + [int(m.get("compacted_gen", 0)) for m in done.values()]
               + [0])
@@ -592,11 +603,11 @@ def update_graph(out_dir: str, delta_triples_ds, superseded_graphs,
     return meta
 
 
-def _live_paths_by_gen(out_dir: str) -> dict[int, list[str]]:
+def _live_paths_by_gen(out_dir: str, done: dict,
+                       gens: list[dict]) -> dict[int, list[str]]:
     """generation -> file paths whose rows are governed by that generation
-    (base/compacted bucket files govern at the bucket's compacted_gen)."""
-    done = mf.committed_buckets(out_dir)
-    gens = generation_files(out_dir)
+    (base/compacted bucket files govern at the bucket's compacted_gen), from
+    one ``graph_state`` snapshot."""
     by_gen: dict[int, list[str]] = {}
     for b, meta in done.items():
         cg = int(meta.get("compacted_gen", 0))
@@ -612,33 +623,72 @@ def _live_paths_by_gen(out_dir: str) -> dict[int, list[str]]:
     return {g: sorted(ps) for g, ps in by_gen.items() if ps}
 
 
+def _reconciled_source(files: list[tuple[str, pa.Array]]):
+    """A ``ray.data.Datasource`` over (file, dead graphs) pairs: each read
+    task reads its files one at a time (``pq.read_table``, TRIPLE_COLUMNS
+    only) and drops the rows whose graph is in that file's dead set, so the
+    filter runs below the union of the generations and memory stays bounded
+    by one file. Its schema is the first file's footer, so Ray knows it
+    without running the read."""
+    from ray.data.block import BlockMetadata
+    from ray.data.datasource import Datasource, ReadTask
+
+    footer = pq.read_schema(files[0][0])
+    schema = pa.schema([footer.field(c) for c in TRIPLE_COLUMNS])
+
+    def read_files(part):
+        for path, dead in part:
+            t = pq.read_table(path, columns=TRIPLE_COLUMNS)
+            if len(dead):
+                t = t.filter(pc.invert(pc.is_in(t["graph"], value_set=dead)))
+            if t.num_rows:
+                yield t.replace_schema_metadata(None)
+
+    class ReconciledGraph(Datasource):
+        def estimate_inmemory_data_size(self):
+            return None
+
+        def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+            n = max(1, min(len(files), parallelism))
+            return [ReadTask(
+                lambda part=files[i::n]: read_files(part),
+                BlockMetadata(num_rows=None, size_bytes=None,
+                              input_files=[p for p, _ in files[i::n]],
+                              exec_stats=None),
+                schema=schema) for i in range(n)]
+
+    return ReconciledGraph()
+
+
 def read_graph(out_dir: str, reconcile: bool = True):
     """Read a committed graph back as a Dataset — manifest- and
     generation-listed files only (anything else is stale garbage from an
     interrupted run). With updates present, rows are reconciled against the
     graph tombstones: a row from a generation-g file is dropped iff a
-    tombstone on its graph has generation > g. One broadcastable dict of
-    tombstoned graphs per generation tier — no shuffle, no driver data."""
+    tombstone on its graph has generation > g.
+
+    The state (buckets, generations, tombstones) is listed once, when this
+    is CALLED: a generation committed after the call is not in the
+    Dataset. The read is one lazy, streaming Datasource (_reconciled_source)
+    over the live files, each carrying the tombstoned graphs newer than its
+    generation, in min(files, 2 × cluster CPUs) read tasks: no union, no
+    shuffle, and a schema known without executing the plan."""
     import ray.data as rd
 
-    by_gen = _live_paths_by_gen(out_dir)
+    done, gens = graph_state(out_dir)
+    by_gen = _live_paths_by_gen(out_dir, done, gens)
     if not by_gen:
         return rd.from_arrow(pa.table(
             {c: pa.array([], pa.string()) for c in TRIPLE_COLUMNS}))
-    tomb = graph_tombstones(out_dir) if reconcile else {}
-    parts = []
+    tomb = graph_tombstones(out_dir, gens) if reconcile else {}
+    files = []
     for g, paths in sorted(by_gen.items()):
-        # columns= also drops the hive-inferred 'bucket' partition column
-        # (the physical files hold exactly TRIPLE_COLUMNS)
-        ds = rd.read_parquet(paths, columns=TRIPLE_COLUMNS)
-        dead = pa.array([k for k, v in tomb.items() if v > g], pa.string())
-        if len(dead):
-            ds = ds.map_batches(
-                lambda t, dead=dead: t.filter(
-                    pc.invert(pc.is_in(t["graph"], value_set=dead))),
-                batch_format="pyarrow")
-        parts.append(ds)
-    return parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
+        dead = pa.array(sorted(k for k, v in tomb.items() if v > g),
+                        pa.string())
+        files.extend((p, dead) for p in paths)
+    return rd.read_datasource(
+        _reconciled_source(files),
+        override_num_blocks=min(len(files), 2 * cluster_cpus()))
 
 
 def compact_graph(out_dir: str) -> pd.DataFrame:
@@ -655,12 +705,11 @@ def compact_graph(out_dir: str) -> pd.DataFrame:
 
     import ray
 
-    gens = generation_files(out_dir)
+    done, gens = graph_state(out_dir)
     if not gens:
         return pd.DataFrame(columns=["bucket", "rows", "checksum"])
     target_gen = max(int(g["gen"]) for g in gens)
     tomb = graph_tombstones(out_dir, gens)
-    done = mf.committed_buckets(out_dir)
     frag_by_bucket: dict[int, list[tuple[int, str]]] = {}
     for g in gens:
         for fr in g["fragments"]:

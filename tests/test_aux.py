@@ -241,11 +241,11 @@ def test_cli_ingest_subcommand(sf_tag, tmp_path):
             for d, g in got2.groupby("delta_id")} == want
 
 
-def test_cli_dedup_ingest_same_matches_at_one_and_two_slots(sf_tag, tmp_path):
-    """`ingest --kind dedup` finishes at 1 and at 2 CPU slots within a
-    deadline, no execution plan it logs has an all-to-all (shuffle)
-    operator, and both runs report the same matches. SUBPROCESS, so the
-    session's cluster is left alone."""
+def _cli_at_one_and_two_slots(args, out_of, forbidden):
+    """Run the CLI ``args`` (with ``out_of(cpus)`` as its output path) in a
+    subprocess at 1 and at 2 CPU slots, each within a 240 s deadline. No
+    execution plan it logs may name a ``forbidden`` operator. Returns the
+    two output frames."""
     import subprocess
     import sys
 
@@ -253,18 +253,54 @@ def test_cli_dedup_ingest_same_matches_at_one_and_two_slots(sf_tag, tmp_path):
 
     got = {}
     for cpus in (1, 2):
-        out = str(tmp_path / f"matches{cpus}.parquet")
         r = subprocess.run(
-            [sys.executable, "-m", "rkts_migration_ray", "ingest", "--kind",
-             "dedup", "--sf", sf_tag, "--index", str(tmp_path / f"idx{cpus}"),
-             "--gen", "batch1", "--out", out, "--num-cpus", str(cpus)],
+            [sys.executable, "-m", "rkts_migration_ray", *args(cpus),
+             "--out", out_of(cpus), "--num-cpus", str(cpus)],
             capture_output=True, text=True, cwd=REPO_ROOT, timeout=240)
         assert r.returncode == 0, r.stderr[-500:]
         plans = [ln for ln in r.stderr.splitlines()
                  if "Execution plan of Dataset" in ln]
-        assert plans and not any("AllToAllOperator" in p for p in plans), plans
-        got[cpus] = pd.read_parquet(out)
-    assert len(got[1]) > 0 and got[1].equals(got[2])
+        assert plans and not any(forbidden in p for p in plans), plans
+        got[cpus] = pd.read_parquet(out_of(cpus))
+    return got[1], got[2]
+
+
+def _ingest_at_one_and_two_slots(kind, sf_tag, tmp_path):
+    return _cli_at_one_and_two_slots(
+        lambda cpus: ["ingest", "--kind", kind, "--sf", sf_tag, "--index",
+                      str(tmp_path / f"idx{cpus}"), "--gen", "batch1"],
+        lambda cpus: str(tmp_path / f"matches{cpus}.parquet"),
+        "AllToAllOperator")
+
+
+def test_cli_dedup_ingest_same_matches_at_one_and_two_slots(sf_tag, tmp_path):
+    """`ingest --kind dedup` finishes at 1 and at 2 CPU slots within a
+    deadline, no execution plan it logs has an all-to-all (shuffle)
+    operator, and both runs report the same matches. SUBPROCESS, so the
+    session's cluster is left alone."""
+    one, two = _ingest_at_one_and_two_slots("dedup", sf_tag, tmp_path)
+    assert len(one) > 0 and one.equals(two)
+
+
+def test_cli_embed_ingest_same_matches_at_one_and_two_slots(sf_tag, tmp_path):
+    """`ingest --kind embed` finishes at 1 and at 2 CPU slots within a
+    deadline, with no all-to-all operator in any plan, and both runs
+    report the same top-k frame."""
+    one, two = _ingest_at_one_and_two_slots("embed", sf_tag, tmp_path)
+    assert len(one) > 0 and one.equals(two)
+    assert list(one.columns) == ["delta_id", "base_id", "rank", "cos_sim"]
+
+
+def test_cli_minhash_pairs_same_at_one_and_two_slots(sf_tag, tmp_path):
+    """`query --name dedup_minhash_pairs` (minhash_pairs_ds) finishes at 1
+    and at 2 CPU slots within a deadline, starts no actor pool, and both
+    runs give the same verified pairs."""
+    one, two = _cli_at_one_and_two_slots(
+        lambda cpus: ["query", "--name", "dedup_minhash_pairs", "--sf",
+                      sf_tag],
+        lambda cpus: str(tmp_path / f"pairs{cpus}.parquet"),
+        "ActorPoolMapOperator")
+    assert len(one) > 0 and one.equals(two)
 
 
 def test_cli_query_list_starts_no_ray(monkeypatch, capsys):

@@ -2710,7 +2710,7 @@ def test_compact_generations_preserves_probe_results(sf_tag, tmp_path):
     docs.append_ivf_generation(vidx, sf_tag, base_mask, "base")
     docs.append_ivf_generation(vidx, sf_tag, lambda i: i % 10 == 0, "a")
     probe_v = lambda: docs._ivf_probe_topk(  # noqa: E731
-        sf_tag, vidx, lambda i: i % 10 == 5, 10).to_pandas()
+        sf_tag, vidx, lambda i: i % 10 == 5, 10)
     vb = probe_v().sort_values(["delta_id", "rank"]).reset_index(drop=True)
     docs.compact_generations(vidx)
     assert len(docs._ivf_generations(vidx)) == 1
@@ -2759,6 +2759,158 @@ def test_compact_twice_and_phantom_tmp_dirs(sf_tag, tmp_path):
     got = set(map(tuple, after[["delta_id", "base_id"]].to_numpy()))
     want = set(map(tuple, before[["delta_id", "base_id"]].to_numpy()))
     assert want <= got  # all original cross pairs survive both compactions
+
+
+def _ivf_index(sf_tag, idx, base_mask):
+    """A generational IVF index at ``idx``: centroids trained on the base,
+    plus its gen-base."""
+    import os
+
+    import numpy as np
+
+    from rkts_migration_ray.pipelines import docs
+
+    os.makedirs(idx)
+    C = docs._ivf_train_centroids(sf_tag, docs.IVF_N_LIST, keep=base_mask)
+    np.save(os.path.join(idx, "centroids.npy"), C)
+    docs.append_ivf_generation(idx, sf_tag, base_mask, "base")
+    return idx
+
+
+def _index_keys(idx, part, columns):
+    """Rows of every generation the probes see, as tuples of ``columns``."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    from rkts_migration_ray.pipelines import docs
+
+    return [tuple(r.values()) for g in docs._band_generations(idx)
+            for f in glob.glob(os.path.join(g, f"{part}=*", "*.parquet"))
+            for r in pq.read_table(f, columns=columns).to_pylist()]
+
+
+def test_embed_ingest_generation_files_and_empty_batch(sf_tag, tmp_path):
+    """An embed ingest writes its generation from the batch rows it probed:
+    one Parquet file per list_id= directory, holding the vectors (and
+    embeddings) the corpus-wide append_ivf_generation puts in each list.
+    An empty batch returns the four typed columns and still publishes a
+    _DONE generation with no list directory."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    from rkts_migration_ray.pipelines import docs
+
+    def base_mask(ids):
+        return ids % 10 != 0
+
+    def batch(ids):
+        return ids % 10 == 0
+
+    idx = _ivf_index(sf_tag, str(tmp_path / "ivf"), base_mask)
+    got = docs.embed_ingest(sf_tag, idx, batch, "a")
+    assert len(got) > 0
+
+    def gen_rows(gen, files_per_part=None):
+        out = []
+        for part in glob.glob(os.path.join(gen, "list_id=*")):
+            files = glob.glob(os.path.join(part, "*.parquet"))
+            assert files_per_part in (None, len(files)), files
+            for f in files:
+                t = pq.read_table(f, columns=["vec_id", "embedding"])
+                out += [(os.path.basename(part), r["vec_id"],
+                         tuple(r["embedding"])) for r in t.to_pylist()]
+        return sorted(out)
+
+    ref = str(tmp_path / "ref")
+    os.makedirs(ref)
+    os.link(os.path.join(idx, "centroids.npy"),
+            os.path.join(ref, "centroids.npy"))
+    docs.append_ivf_generation(ref, sf_tag, batch, "a")
+    assert gen_rows(os.path.join(idx, "gen-a"), files_per_part=1) == gen_rows(
+        os.path.join(ref, "gen-a")) != []
+
+    none = docs.embed_ingest(sf_tag, idx, lambda ids: ids < 0, "none")
+    assert list(none.columns) == ["delta_id", "base_id", "rank", "cos_sim"]
+    assert len(none) == 0
+    assert [str(t) for t in none.dtypes] == ["int64", "int64", "int64",
+                                             "float64"]
+    gen = os.path.join(idx, "gen-none")
+    assert gen in docs._ivf_generations(idx)
+    assert glob.glob(os.path.join(gen, "list_id=*")) == []
+
+
+def test_compaction_crash_after_publish_double_counts_nothing(
+        sf_tag, tmp_path, monkeypatch):
+    """A compaction that dies after publishing its generation, before its
+    sources are deleted, leaves every row visible once: the compacted
+    generation lists what it folded and the listed generations are hidden.
+    Dedup and embed probe results are identical to before, and every id is
+    in each index exactly once. The next compaction finishes the job."""
+    import os
+    import shutil
+
+    from rkts_migration_ray.pipelines import docs
+
+    def base_mask(ids):
+        return (ids % 10 != 0) & (ids % 10 != 5)
+
+    def batch(ids):
+        return ids % 10 == 5
+
+    bidx = str(tmp_path / "band")
+    docs.append_band_generation(bidx, sf_tag, base_mask, "base")
+    docs.append_band_generation(bidx, sf_tag, lambda i: i % 10 == 0, "a")
+    vidx = _ivf_index(sf_tag, str(tmp_path / "ivf"), base_mask)
+    docs.append_ivf_generation(vidx, sf_tag, lambda i: i % 10 == 0, "a")
+
+    def probes():
+        band = docs._dedup_probe(sf_tag, bidx, batch, 0.2).to_pandas()
+        return (band.sort_values(["delta_id", "base_id"])
+                .reset_index(drop=True),
+                docs._ivf_probe_topk(sf_tag, vidx, batch, 10))
+
+    def indexed():
+        return (sorted(_index_keys(bidx, "hb", ["doc_id", "band"])),
+                sorted(_index_keys(vidx, "list_id", ["vec_id"])))
+
+    before, keys = probes(), indexed()
+    assert len(before[0]) > 0 and len(before[1]) > 0
+    real_rmtree = shutil.rmtree
+
+    def crash(path, *args, **kwargs):
+        if ".tmp." in os.path.basename(str(path)):
+            return real_rmtree(path, *args, **kwargs)
+        raise OSError("killed between publish and delete")
+
+    monkeypatch.setattr(shutil, "rmtree", crash)
+    for idx in (bidx, vidx):
+        with pytest.raises(OSError, match="killed"):
+            docs.compact_generations(idx)
+        assert os.path.isdir(os.path.join(idx, "gen-base"))  # not deleted
+        assert [os.path.basename(g) for g in docs._band_generations(idx)] \
+            == ["gen-compact000"]
+    after = probes()
+    assert before[0].equals(after[0]) and before[1].equals(after[1])
+    assert indexed() == keys
+    bands, vecs = keys
+    assert len(set(bands)) == len(bands) > 0
+    assert len({d for d, _ in bands}) * docs.N_BANDS == len(bands)
+    assert len(set(vecs)) == len(vecs) > 0
+
+    monkeypatch.setattr(shutil, "rmtree", real_rmtree)
+    for idx in (bidx, vidx):
+        docs.compact_generations(idx)
+        assert sorted(os.listdir(idx)) == sorted(
+            ["gen-compact000"] + (["centroids.npy"] if idx == vidx else []))
+        assert not os.path.exists(os.path.join(idx, "gen-compact000",
+                                               docs.GEN_SOURCES))
+    again = probes()
+    assert before[0].equals(again[0]) and before[1].equals(again[1])
+    assert indexed() == keys
 
 
 def test_conv_tool_latency_sentinel_at_high_fanout(monkeypatch):
