@@ -117,6 +117,56 @@ def scale_buckets(floor: int, per_cpu: int) -> int:
     return max(floor, per_cpu * cluster_cpus())
 
 
+_PAD = "__range_pad"
+
+
+def range_exchange(ds, key: str, n_keys: int, fn, schema: pa.Schema,
+                   batch_format: str = "pyarrow"):
+    """Co-group ``ds`` on an integer ``key`` that lies in ``[0, n_keys)`` (a
+    hash bucket): one range-partitioned sort, then ``fn`` once per block.
+
+    The ``min(n_keys, 2 × cluster_cpus())`` partitions are evenly spaced key
+    ranges fixed before the sort, so it runs no sampling pass and needs
+    no repartition before it. Each output block holds every row of one
+    contiguous key range, sorted by ``key``, so ``fn`` may group by the key
+    or by any finer key inside the block. ``fn`` takes a ``batch_format``
+    batch and returns an Arrow table or a pandas frame, which is cast to
+    ``schema``.
+
+    Ray's sort turns a partition with no rows into a block with no schema,
+    and ``map_batches`` passes such a block on without calling its UDF. So
+    each input block also sends one pad row (nulls, flagged in an extra
+    column) to every partition; the pads are dropped before ``fn``, and a
+    partition with only pads gives ``schema``'s empty table. (An input with
+    no rows at all gets no pads, for the same reason, and ends in blocks
+    with no schema.)"""
+    parts = max(1, min(n_keys, 2 * cluster_cpus()))
+    # one partition still needs a boundary: without one, Ray samples
+    bounds = [i * n_keys // parts for i in range(1, parts)] or [n_keys]
+    lows = [0] + bounds
+
+    def pad(t: pa.Table) -> pa.Table:
+        pads = pa.table({f.name: pa.array(lows, f.type) if f.name == key
+                         else pa.nulls(len(lows), f.type) for f in t.schema},
+                        schema=t.schema)
+        return pa.concat_tables([
+            t.append_column(_PAD, pa.repeat(False, t.num_rows)),
+            pads.append_column(_PAD, pa.repeat(True, len(lows)))])
+
+    def run(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.invert(t[_PAD])).drop_columns([_PAD])
+        if t.num_rows == 0:
+            return schema.empty_table()
+        out = fn(t if batch_format == "pyarrow" else t.to_pandas())
+        if not isinstance(out, pa.Table):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return out.select(schema.names).cast(schema).replace_schema_metadata(None)
+
+    return (ds.map_batches(pad, batch_format="pyarrow", zero_copy_batch=True)
+            .sort(key, boundaries=bounds)
+            .map_batches(run, batch_format="pyarrow", batch_size=None))
+
+
 def from_pandas_clean(df, schema: pa.Schema | None = None) -> pa.Table:
     """pandas → Arrow without the pandas schema-metadata blob (which defeats
     Ray Data's block schema deduplication and bloats object-store blocks)."""

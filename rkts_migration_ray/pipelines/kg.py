@@ -3,18 +3,22 @@
     read_parquet(transcripts)
       → map_batches(extract_features)        # stateless, zero-copy Arrow
       ├→ map_batches(structural_triples)     # no shuffle
-      ├→ groupby(conv_id).map_groups(conv_group_triples)   # shuffle #1: conv_id
+      ├→ range_exchange(conv bucket) → conv_bucket_triples  # shuffle #1
       └→ explode mentions → MentionLinker tasks (broadcast gazetteer)
            ├→ mention triples               # no shuffle
-           └→ entity partial-dedup → groupby(entity_uri) merge  # shuffle #2
-              → EntityEmitter tasks (broadcast props)
+           └→ entity partial-dedup → range_exchange(entity bucket)  # shuffle #2
+              → merge + EntityEmitter in the same task (broadcast props)
       → union of all triple streams
+
+Each shuffle is one range_exchange (functions/arrowutils.py): a sort on the
+hash-bucket key with evenly spaced key ranges fixed up front (no
+sampling pass, no repartition), then one UDF call per range of buckets.
 
 Every UDF runs as a stateless task that reads the broadcast lookups through
 ``ray.put`` refs, so the whole graph is one Ray Data execution with no actor
 pools (an actor pool sized past the cluster's slots waits on actors that
-cannot start). Conv-keyed shuffles size their fan-out from the input's row
-count (``conv_buckets``).
+cannot start). Conv-keyed shuffles size their key range from the input's
+row count (``conv_buckets``).
 
 Replaces the reference's sequential two-pass driver (migrate.php:101-152) and
 its cross-pass mutable globals (ST4/ST5/ST6) with explicit Dataset edges.
@@ -27,14 +31,15 @@ from __future__ import annotations
 import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
-from ..functions.arrowutils import cluster_cpus
+from ..functions.arrowutils import from_pandas_clean, range_exchange
 from ..sources import readers
 from ..stages.convgroup import (
     CONV_GROUP_COLUMNS,
-    add_conv_bucket,
     conv_bucket_triples,
     conv_buckets,
+    conv_exchange,
 )
+from ..stages.creators import TRIPLE_SCHEMA
 from ..stages.extract import (
     extract_features,
     location_triples,
@@ -124,15 +129,12 @@ def structural_ds(sf_dir: str, include_quarantine: bool = False):
 def _conv_stage(sf_dir: str, feats, cfg: PipelineConfig):
     """Shuffle #1 (key: conv-hash bucket) + vectorized per-conv windows.
     Fan-out resolved ONCE on the driver, from the input's row count."""
-    return (feats.select_columns(CONV_GROUP_COLUMNS)
-            .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                         batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(lambda df: conv_bucket_triples(
-                df, one_title_per_lang=cfg.one_title_per_lang,
-                migrate_chapters=cfg.migrate_chapters),
-                batch_format="pandas"))
+    return conv_exchange(
+        feats.select_columns(CONV_GROUP_COLUMNS), conv_buckets(sf_dir),
+        lambda df: conv_bucket_triples(
+            df, one_title_per_lang=cfg.one_title_per_lang,
+            migrate_chapters=cfg.migrate_chapters),
+        TRIPLE_SCHEMA)
 
 
 def conv_triples_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
@@ -218,30 +220,24 @@ def role_pivot_ds(sf_dir: str):
     extractList.php:25-62): per conversation, turn counts spread across one
     column per role. Bucketed shuffle + vectorized crosstab per bucket."""
     import pandas as pd
+    import pyarrow as pa
 
-    from ..functions.arrowutils import from_pandas_clean
-    from ..stages.convgroup import add_conv_bucket
+    schema = pa.schema([("conv_id", pa.string())]
+                       + [("n_" + r, pa.int64()) for r in ROLES]
+                       + [("n_total", pa.int64())])
 
-    def pivot(df: pd.DataFrame) -> "pa.Table":
-        import pyarrow as pa
-
+    def pivot(df: pd.DataFrame) -> pd.DataFrame:
         ct = pd.crosstab(df["conv_id"], df["role"])
         out = pd.DataFrame({"conv_id": ct.index.to_numpy(dtype=object)})
         for r in ROLES:
             out["n_" + r] = (ct[r].to_numpy("int64") if r in ct.columns
                              else 0)
         out["n_total"] = sum(out["n_" + r] for r in ROLES)
-        schema = pa.schema([("conv_id", pa.string())]
-                           + [("n_" + r, pa.int64()) for r in ROLES]
-                           + [("n_total", pa.int64())])
-        return from_pandas_clean(out, schema=schema)
+        return out
 
-    return (readers.read_transcripts(sf_dir, columns=["conv_id", "role"])
-            .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                         batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(pivot, batch_format="pandas"))
+    return conv_exchange(
+        readers.read_transcripts(sf_dir, columns=["conv_id", "role"]),
+        conv_buckets(sf_dir), pivot, schema)
 
 
 def conv_flatten_ds(sf_dir: str):
@@ -284,13 +280,10 @@ def conv_flatten_ds(sf_dir: str):
             "n_chars": agg["doc"].str.len().astype("int64"),
             "doc": agg["doc"]}), schema=schema)
 
-    return (readers.read_transcripts(
-                sf_dir, columns=["conv_id", "turn_idx", "role", "text", "tool"])
-            .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                         batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(flatten, batch_format="pandas"))
+    return conv_exchange(
+        readers.read_transcripts(
+            sf_dir, columns=["conv_id", "turn_idx", "role", "text", "tool"]),
+        conv_buckets(sf_dir), flatten, schema)
 
 
 SFT_CONTEXT_TURNS = 4
@@ -345,13 +338,10 @@ def sft_examples_ds(sf_dir: str, k: int = SFT_CONTEXT_TURNS):
             "target": pd.Series(out["target"], dtype="object")}),
             schema=schema)
 
-    return (readers.read_transcripts(
-                sf_dir, columns=["conv_id", "turn_idx", "role", "text"])
-            .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                         batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(examples, batch_format="pandas"))
+    return conv_exchange(
+        readers.read_transcripts(
+            sf_dir, columns=["conv_id", "turn_idx", "role", "text"]),
+        conv_buckets(sf_dir), examples, schema)
 
 
 def cooccurrence_ds(sf_dir: str, linked=None):
@@ -375,10 +365,11 @@ def cooccurrence_ds(sf_dir: str, linked=None):
     import pandas as pd
     import pyarrow as pa
 
-    from ..functions.arrowutils import (from_pandas_clean, hash_bucket,
-                                        scale_buckets)
+    from ..functions.arrowutils import hash_bucket, scale_buckets
 
     npair_buckets = scale_buckets(32, 2)
+    pair_schema = pa.schema([("e1", pa.string()), ("e2", pa.string()),
+                             ("n", pa.int64()), ("pbucket", pa.int32())])
 
     def batch_distinct(t: pa.Table) -> pa.Table:
         return t.group_by(["conv_id", "entity_uri"]).aggregate([])
@@ -394,10 +385,7 @@ def cooccurrence_ds(sf_dir: str, linked=None):
             es1.append(ents[i])
             es2.append(ents[j])
         if not es1:
-            return pa.table({"e1": pa.array([], pa.string()),
-                             "e2": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "pbucket": pa.array([], pa.int64())})
+            return pair_schema.empty_table()
         pr = pd.DataFrame({"e1": np.concatenate(es1),
                            "e2": np.concatenate(es2)})
         agg = pr.groupby(["e1", "e2"], sort=False).size().reset_index(name="n")
@@ -408,24 +396,20 @@ def cooccurrence_ds(sf_dir: str, linked=None):
                          "n": pa.array(agg["n"].to_numpy("int64")),
                          "pbucket": hash_bucket(key, npair_buckets)})
 
-    def pair_sum(df: pd.DataFrame) -> pa.Table:
+    def pair_sum(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby(["e1", "e2"], sort=False)["n"].sum().reset_index()
-        return from_pandas_clean(pd.DataFrame({
-            "e1": agg["e1"], "e2": agg["e2"],
-            "n_convs": agg["n"].astype("int64")}))
+        return agg.rename(columns={"n": "n_convs"})
 
     if linked is None:
         linked = linked_mentions_ds(sf_dir)
-    return (linked
-            .select_columns(["conv_id", "entity_uri"])
-            .map_batches(batch_distinct, batch_format="pyarrow")
-            .map_batches(add_conv_bucket,
-                         fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                         batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(conv_pairs, batch_format="pandas")
-            .groupby("pbucket")
-            .map_groups(pair_sum, batch_format="pandas"))
+    pairs = conv_exchange(
+        linked.select_columns(["conv_id", "entity_uri"])
+        .map_batches(batch_distinct, batch_format="pyarrow"),
+        conv_buckets(sf_dir), conv_pairs, pair_schema)
+    return range_exchange(
+        pairs, "pbucket", npair_buckets, pair_sum,
+        pa.schema([("e1", pa.string()), ("e2", pa.string()),
+                   ("n_convs", pa.int64())]), "pandas")
 
 
 def location_nodes_ds(sf_dir: str):
@@ -493,15 +477,15 @@ def _entity_emit_fn(props_ref, cfg: PipelineConfig = DEFAULT_CONFIG):
 
 
 def _entities(linked, props_ref, cfg: PipelineConfig):
-    return (linked.map_batches(entity_rows,
-                               fn_kwargs={"n_buckets": entity_buckets()},
-                               batch_format="pyarrow")
-            # post-combiner stream is tiny; shrink the sort (scales w/ CPUs)
-            .repartition(max(8, cluster_cpus() // 4))
-            .groupby("ebucket")
-            .map_groups(dedup_entities, batch_format="pandas")
-            .map_batches(_entity_emit_fn(props_ref, cfg),
-                         batch_format="pyarrow"))
+    """Shuffle #2: the combiner's entity rows co-grouped on their entity-hash
+    bucket, merged to one row per entity and emitted in the same task."""
+    nb = entity_buckets()
+    emit = _entity_emit_fn(props_ref, cfg)
+    return range_exchange(
+        linked.map_batches(entity_rows, fn_kwargs={"n_buckets": nb},
+                           batch_format="pyarrow"),
+        "ebucket", nb, lambda df: emit(from_pandas_clean(dedup_entities(df))),
+        TRIPLE_SCHEMA, "pandas")
 
 
 _CKPT_ROOT: str | None = None
@@ -3605,26 +3589,19 @@ def conv_summary_ds(sf_dir: str):
                 .select_columns(["conv_id", "turn_idx"])
                 .map_batches(partial, batch_format="pyarrow")
                 .groupby(["conv_id", "turn_idx"])
-                .aggregate(Sum("n", alias_name="n"))
-                .map_batches(add_conv_bucket,
-                             fn_kwargs={"n_buckets": conv_buckets(sf_dir)},
-                             batch_format="pyarrow"))
+                .aggregate(Sum("n", alias_name="n")))
 
     out_schema = pa.schema([("conv_id", pa.string()),
                             ("turn_idx", pa.int64()),
                             ("n_entities", pa.int64())])
 
-    def argmax(df: pd.DataFrame) -> pa.Table:
+    def argmax(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["conv_id", "n", "turn_idx"],
                             ascending=[True, False, True], kind="stable")
         top = df.groupby("conv_id", sort=False).head(1)
-        return pa.Table.from_pydict(
-            {"conv_id": top["conv_id"],
-             "turn_idx": top["turn_idx"].astype("int64"),
-             "n_entities": top["n"].astype("int64")}, schema=out_schema)
+        return top.rename(columns={"n": "n_entities"})
 
-    return per_turn.groupby("conv_bucket").map_groups(
-        argmax, batch_format="pandas")
+    return conv_exchange(per_turn, conv_buckets(sf_dir), argmax, out_schema)
 
 
 def conv_tool_stats_ds(sf_dir: str):

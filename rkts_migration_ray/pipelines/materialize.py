@@ -11,11 +11,13 @@ Resume semantics: a rerun lists committed buckets first and drops their rows
 right after the bucket-assignment map — upstream stages still stream, but no
 committed partition is rewritten.
 
-Performance notes (measured at sf0.1/32cpu): the bucket write runs as
-groupby(bucket).map_groups in **pyarrow** batch format — pandas boxing of
-millions of string rows cost ~4.5s/task; Arrow-native slicing + write is
-~10×x cheaper. Input is coalesced to ~2×CPU blocks before the sort (sort cost
-grows with input block count).
+Performance notes: the bucket write is one range-partitioned sort on the
+bucket id (arrowutils.range_exchange: ``min(n_buckets, 2 × CPU)`` evenly
+spaced bucket ranges fixed up front, so no sampling pass and no
+coalescing repartition before it); each write task gets whole buckets and
+writes them one after another, in **pyarrow** batch format — pandas boxing
+of millions of string rows cost ~4.5s/task at sf0.1/32cpu; Arrow-native
+slicing + write is ~10× cheaper.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import TRIPLE_COLUMNS
-from ..functions.arrowutils import cluster_cpus, hash_bucket
+from ..functions.arrowutils import cluster_cpus, hash_bucket, range_exchange
 from ..state import manifest as mf
 
 
 def add_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
     return batch.append_column("bucket", hash_bucket(batch["subj"], n_buckets))
+
+
+WRITTEN_SCHEMA = pa.schema([("bucket", pa.int32()), ("rows", pa.int64()),
+                            ("checksum", pa.string()), ("skipped", pa.bool_())])
 
 
 def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
@@ -46,14 +52,8 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
     done = mf.committed_buckets(out_dir) if resume else {}
     mf.assert_source_matches(done, source)
 
-    # coalesce before the bucket shuffle: the sort's driver-side metadata and
-    # scheduling cost grow with input block count (upstream unions produce
-    # hundreds of small blocks and streaming repartition splits but never
-    # merges), while too FEW blocks produce multi-GB blocks that stall the
-    # memory budgeter. 8×CPU keeps blocks ~100-400MB across tested scales.
-    n_blocks = max(16, cluster_cpus() * 8)
-    ds = triples_ds.repartition(n_blocks).map_batches(
-        lambda t: add_bucket(t, n_buckets), batch_format="pyarrow")
+    ds = triples_ds.map_batches(lambda t: add_bucket(t, n_buckets),
+                                batch_format="pyarrow")
     if done:
         done_arr = pa.array(sorted(done), pa.int32())
 
@@ -64,7 +64,7 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
 
-    def write_bucket(t: pa.Table) -> pa.Table:
+    def write_bucket(t: pa.Table) -> dict:
         bucket = int(t["bucket"][0].as_py())
         table = t.select(TRIPLE_COLUMNS)
         bdir = os.path.join(out_dir, f"bucket={bucket:05d}")
@@ -81,14 +81,19 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
             "source": source,
         }
         mf.write_manifest(out_dir, bucket, meta)
-        return pa.table({"bucket": pa.array([bucket], pa.int32()),
-                         "rows": pa.array([meta["rows"]], pa.int64()),
-                         "checksum": pa.array([meta["checksum"]], pa.string()),
-                         "skipped": pa.array([False], pa.bool_())})
+        return {"bucket": bucket, "rows": meta["rows"],
+                "checksum": meta["checksum"], "skipped": False}
 
-    written = (ds.groupby("bucket")
-                 .map_groups(write_bucket, batch_format="pyarrow")
-                 .to_pandas())
+    def write_buckets(t: pa.Table) -> pa.Table:
+        # the block holds whole buckets, sorted by bucket
+        b = t["bucket"].to_numpy()
+        cuts = [0, *(np.flatnonzero(np.diff(b)) + 1).tolist(), len(b)]
+        return pa.Table.from_pylist(
+            [write_bucket(t.slice(lo, hi - lo)) for lo, hi in zip(cuts, cuts[1:])],
+            schema=WRITTEN_SCHEMA)
+
+    written = range_exchange(ds, "bucket", n_buckets, write_buckets,
+                             WRITTEN_SCHEMA).to_pandas()
     skipped = pd.DataFrame({
         "bucket": pd.Series(list(done), dtype="int32"),
         "rows": pd.Series([m["rows"] for m in done.values()], dtype="int64"),
@@ -328,7 +333,7 @@ def write_graph_sharded(triples_ds, out_dir: str, n_buckets: int = 64,
     listed in a committed manifest are stale garbage from interrupted runs
     and are deleted at commit. Readers must read manifest-listed files only.
 
-    Compared to write_graph (sort-based groupby): zero all-to-all, linear
+    Compared to write_graph (range-partitioned sort): zero all-to-all, linear
     scaling, write amplification 1×; the cost is ~blocks×buckets small files,
     compacted on demand by compact_bucket() (per-bucket, embarrassingly
     parallel, no shuffle).

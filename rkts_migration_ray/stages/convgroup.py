@@ -12,14 +12,14 @@ Semantics mirrored from the reference (SURVEY.md §2.6/§2.4):
   editionxmltottl.php:360-376, exportvolumemap.php:11-59)
 - per-conv title dedup, case/separator-insensitive (kernelxmltottl.php:205-227)
 
-Execution shape: conversations are hash-bucketed (crc32(conv_id) % B) and the
-shuffle runs groupby("conv_bucket").map_groups — each group holds MANY whole
-conversations, and all window math inside is vectorized pandas groupby over
-the bucket (per-conversation map_groups costs ~ms of Python per group, which
-dominates wall time at 10^6+ conversations; bucketing amortizes it B-fold
-while preserving exact per-conv semantics, since a bucket always contains
-every turn of its conversations). In-group order is explicit (sort by
-conv_id, turn_idx), never block-arrival order.
+Execution shape: conversations are hash-bucketed (hash(conv_id) % B) and
+co-grouped by one range-partitioned sort on that bucket (conv_exchange) —
+each call holds MANY whole conversations, and all window math inside is
+vectorized pandas groupby over them (per-conversation map_groups costs ~ms
+of Python per group, which dominates wall time at 10^6+ conversations;
+bucketing amortizes it while preserving exact per-conv semantics, since a
+call always holds every turn of its conversations). In-call order is
+explicit (sort by conv_id, turn_idx), never block-arrival order.
 
 Fan-out B is sized from the data (conv_buckets): about
 TURNS_PER_CONV_BUCKET turns per bucket, at least two buckets per CPU slot,
@@ -59,6 +59,7 @@ from ..functions.arrowutils import (
     cluster_cpus,
     from_pandas_clean,
     hash_bucket,
+    range_exchange,
     scale_buckets,
 )
 from ..functions.minting import mint_node_array
@@ -90,6 +91,17 @@ def conv_buckets(sf_dir: str | None = None) -> int:
 def add_conv_bucket(batch: pa.Table, n_buckets: int | None = None) -> pa.Table:
     n = n_buckets if n_buckets is not None else conv_buckets()
     return batch.append_column("conv_bucket", hash_bucket(batch["conv_id"], n))
+
+
+def conv_exchange(ds, n_buckets: int, fn, schema: pa.Schema):
+    """Co-group ``ds`` by conversation: hash ``conv_id`` into ``n_buckets``
+    (conv_buckets) and range_exchange on that bucket, so each ``fn`` call
+    gets a pandas frame with every turn of each conversation in it (many
+    conversations per call)."""
+    return range_exchange(
+        ds.map_batches(add_conv_bucket, fn_kwargs={"n_buckets": n_buckets},
+                       batch_format="pyarrow"),
+        "conv_bucket", n_buckets, fn, schema, "pandas")
 
 
 def _mint_series(facet: str, local: pd.Series, content: pd.Series) -> pd.Series:

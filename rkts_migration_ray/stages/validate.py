@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.arrowutils import from_pandas_clean
-from .convgroup import add_conv_bucket
+from .convgroup import conv_exchange
 
 VALIDATE_COLUMNS = ["conv_id", "n_turns", "n_distinct", "max_idx", "dense", "ts_monotone"]
 
@@ -58,13 +58,10 @@ def validate_bucket(df: pd.DataFrame) -> pa.Table:
 
 
 def validate_transcripts(ds, n_buckets: int):
-    """Bucketed groupby(conv_id) validation — same shuffle shape as the
-    conv-window stage (callers pass its fan-out, convgroup.conv_buckets);
-    each group holds whole conversations."""
-    return (ds.map_batches(add_conv_bucket, fn_kwargs={"n_buckets": n_buckets},
-                           batch_format="pyarrow")
-            .groupby("conv_bucket")
-            .map_groups(validate_bucket, batch_format="pandas"))
+    """Per-conversation validation — the same exchange as the conv-window
+    stage (callers pass its fan-out, convgroup.conv_buckets); each call
+    holds whole conversations."""
+    return conv_exchange(ds, n_buckets, validate_bucket, VALIDATE_SCHEMA)
 
 
 def validate_conv(df: pd.DataFrame) -> pd.DataFrame:

@@ -322,7 +322,8 @@ def test_cli_query_list_starts_no_ray(monkeypatch, capsys):
 
 def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
     """The CLI `run` finishes at 1 and at 2 CPU slots within a deadline, as
-    ONE Ray Data execution with no actor pool, and both runs write the same
+    ONE Ray Data execution with no actor pool and no repartition, without
+    Ray's "different schema" warning, and both runs write the same
     graph: identical per-bucket manifests whose rows add up to the DuckDB
     kg_triples twin. SUBPROCESS, so the session's cluster is left alone."""
     import subprocess
@@ -346,6 +347,9 @@ def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
                  if "Execution plan of Dataset" in ln]
         assert len(plans) == 1, plans
         assert "ActorPoolMapOperator" not in plans[0]
+        assert "Repartition" not in plans[0]
+        assert not [ln for ln in r.stderr.splitlines()
+                    if "different schema" in ln]
         got[cpus] = {b: (m["rows"], m["checksum"])
                      for b, m in mf.committed_buckets(out).items()}
     assert len(got[1]) == 64 and got[1] == got[2]
