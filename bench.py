@@ -103,20 +103,13 @@ def run_bench(num_cpus: int) -> dict:
 
         timed("dedup_minhash_pairs", _mh)
 
-    # checkpoint_linked trades one extra execution + write barrier for not
-    # recomputing explode+link in the mentions and entities branches —
-    # measured via GRAFT_CKPT_LINKED (default on, the round-1 configuration).
-    ckpt = os.environ.get("GRAFT_CKPT_LINKED", "1") == "1"
     out_dir = f"/tmp/graft_bench_out/{tag}-{num_cpus}"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    # lazy: the linked write barrier resolves inside the mentions/entities
-    # writer threads, overlapping with the structloc/conv stream writes
-    streams = kg.kg_bundle(tag, checkpoint_linked=ckpt, lazy_checkpoint=True)
-    manifest = materialize.write_graph_streams(
-        streams, out_dir, n_buckets=64, resume=False,
-        source=fixtures.transcripts_path(tag),
-        overlap=os.environ.get("GRAFT_OVERLAP", "1") == "1")
+    # the CLI `run` path: the whole graph as one execution
+    manifest = materialize.write_graph(
+        kg.kg_triples_ds(tag), out_dir, n_buckets=64, resume=False,
+        source=fixtures.transcripts_path(tag))
     headline = time.perf_counter() - t0
     n_triples = int(manifest["rows"].sum())
     timings["kg_triples_materialize"] = round(headline, 3)
@@ -155,7 +148,7 @@ def run_fresh(num_cpus: int) -> dict:
                          capture_output=True, text=True, check=True,
                          cwd=os.path.dirname(os.path.abspath(__file__)))
     b1, t1 = _proc_stat()
-    # each run writes several GB (checkpoint + graph); force writeback to
+    # each run writes several GB of graph; force writeback to
     # COMPLETE before the next timed run so one run's dirty pages don't
     # stall the next one's I/O (observed as isolated 1.5× wall-time spikes)
     subprocess.run(["sync"], check=False)

@@ -43,8 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--no-resume", action="store_true")
     run.add_argument("--num-cpus", type=int, default=None)
     run.add_argument("--format", choices=["parquet", "nt"], default="parquet",
-                     help="graph sink: bucketed Parquet edge tables or "
-                          "N-Triples text fragments (same manifests/resume)")
+                     help="graph sink: one Parquet edge table or N-Triples "
+                          "text file per bucket (same manifests/resume)")
 
     cur = sub.add_parser("curate", help="curation verdict → kept corpus as "
                                         "hash-partitioned Parquet")
@@ -117,16 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "run":
             from .pipelines import kg, materialize
 
-            if args.format == "nt":
-                streams = kg.kg_bundle(args.sf)
-                manifest = materialize.write_graph_ntriples(
-                    streams, args.out, n_buckets=args.buckets,
-                    resume=not args.no_resume)
-            else:
-                ds = kg.kg_triples_ds(args.sf)
-                manifest = materialize.write_graph(ds, args.out,
-                                                   n_buckets=args.buckets,
-                                                   resume=not args.no_resume)
+            manifest = materialize.write_graph(
+                kg.kg_triples_ds(args.sf), args.out, n_buckets=args.buckets,
+                resume=not args.no_resume, fmt=args.format)
             print(json.dumps({
                 "buckets": int(len(manifest)),
                 "rows": int(manifest["rows"].sum()),

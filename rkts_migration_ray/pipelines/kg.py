@@ -493,7 +493,7 @@ _CKPT_ROOT: str | None = None
 
 def _session_ckpt_root() -> str:
     """Lazily create ONE checkpoint scratch dir per driver process; each
-    kg_bundle call gets a fresh subdirectory, all removed at exit."""
+    call gets a fresh subdirectory, all removed at exit."""
     global _CKPT_ROOT
     import atexit
     import os
@@ -519,61 +519,20 @@ def _checkpoint(ds, path: str):
     return rd.read_parquet(path)
 
 
-def _once(fn):
-    """Thread-safe memoized thunk (threads of write_graph_streams race to
-    trigger the shared linked checkpoint; exactly one wins)."""
-    import threading
-
-    lock = threading.Lock()
-    box: list = []
-
-    def get():
-        with lock:
-            if not box:
-                box.append(fn())
-        return box[0]
-
-    return get
-
-
-def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
-              ckpt_root: str | None = None,
-              checkpoint_features: bool = False,
-              checkpoint_linked: bool = False,
-              lazy_checkpoint: bool = False) -> dict:
-    """All triple streams, checkpoint-free by default; every UDF runs as a
-    stateless task (no actor pools), so any mix of streams can share one
-    execution at any slot count.
+def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG) -> dict:
+    """All triple streams, as lazy Datasets; every UDF runs as a stateless
+    task (no actor pools), so any mix of streams can share one execution
+    at any slot count. kg_triples_ds unions them, and materialize.write_graph
+    writes that union as one execution.
 
     Shared subtrees (extraction; explode+link) are recomputed per consuming
     branch: they are stateless+deterministic, fully parallel, and measurably
     cheaper than a write-barrier + re-read (a checkpoint serializes the DAG
-    and adds an extra executor round). Set checkpoint_features /
-    checkpoint_linked to trade recompute for persisted stage outputs (useful
-    when extraction dominates or for coarse resume of the feature stage).
-
-    ``lazy_checkpoint=True`` (with checkpoint_linked) returns the mentions
-    and entities streams as CALLABLES: the linked-stage write barrier runs
-    only when the first consumer thread resolves its thunk, so the
-    independent streams (structloc, conv) overlap with it instead of the
-    whole bundle waiting ~T_link before any write starts — the barrier
-    leaves the critical path."""
-    root = None
-    if checkpoint_features or checkpoint_linked:
-        # one process-wide checkpoint root, removed at interpreter exit —
-        # round-1 advice: an unconditional mkdtemp per invocation leaked a
-        # parquet copy of the linked stage to /tmp on every entry() call
-        root = ckpt_root or _session_ckpt_root()
-    # only the structloc branch consumes the chap-loc quarantine columns —
-    # the conv/mention branches recompute features WITHOUT the extra regex
-    # passes (when checkpointing, one shared feature set carries everything)
-    if checkpoint_features:
-        feats = _checkpoint(features_ds(sf_dir, include_chaploc=True),
-                            f"{root}/features")
-        feats_cl = feats
-    else:
-        feats = features_ds(sf_dir)
-        feats_cl = features_ds(sf_dir, include_chaploc=True)
+    and adds an extra executor round)."""
+    # only the structloc branch consumes the chap-loc quarantine columns;
+    # the conv/mention branches skip those extra regex passes
+    feats = features_ds(sf_dir)
+    feats_cl = features_ds(sf_dir, include_chaploc=True)
 
     # fused structural+ContentLocation stream: ONE read+extract pass instead
     # of two parallel branches each recomputing the subtree
@@ -583,24 +542,10 @@ def kg_bundle(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
 
     gaz_ref, alias_ref, props_ref = _broadcast_lookups(sf_dir)
     linked = _linked(feats, gaz_ref, alias_ref)
-
-    def _ments(linked_ds):
-        return linked_ds.map_batches(mention_triples, batch_format="pyarrow")
-
-    def _ents(linked_ds):
-        return _entities(linked_ds, props_ref, cfg)
-
-    if checkpoint_linked and lazy_checkpoint:
-        linked_ckpt = _once(lambda: _checkpoint(linked, f"{root}/linked"))
-        ments: object = lambda: _ments(linked_ckpt())
-        ents: object = lambda: _ents(linked_ckpt())
-    else:
-        if checkpoint_linked:
-            linked = _checkpoint(linked, f"{root}/linked")
-        ments = _ments(linked)
-        ents = _ents(linked)
     return {"structloc": structloc, "conv": conv,
-            "mentions": ments, "entities": ents, "ckpt_root": root}
+            "mentions": linked.map_batches(mention_triples,
+                                           batch_format="pyarrow"),
+            "entities": _entities(linked, props_ref, cfg)}
 
 
 def quarantine_ds(sf_dir: str):
@@ -664,8 +609,8 @@ def image_numbers_ds(sf_dir: str, concurrency: int = 4):
 def ntriples_lines_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG):
     """Full graph serialized to N-Triples lines (W2 analog: the global.nt
     stream of utils.php:833-840, escaping per Nquads.php:52-124). Map-only on
-    top of kg_triples_ds; the text SINK (per-bucket .nt fragments + manifests)
-    is materialize.write_graph_ntriples."""
+    top of kg_triples_ds; the text SINK (one .nt file + manifest per bucket)
+    is materialize.write_graph(..., fmt="nt")."""
     from ..functions.ntriples import lines_table
 
     return kg_triples_ds(sf_dir, cfg).map_batches(
@@ -756,8 +701,8 @@ def kg_incremental_ds(sf_dir: str, cfg: PipelineConfig = DEFAULT_CONFIG,
     from . import materialize
 
     out = _session_ckpt_root()  # fresh subdir per invocation, reaped at exit
-    materialize.write_graph_sharded(kg_triples_ds(sf_dir, cfg),
-                                    out, n_buckets=n_buckets, resume=False)
+    materialize.write_graph(kg_triples_ds(sf_dir, cfg), out,
+                            n_buckets=n_buckets, resume=False)
     base = materialize.read_graph(out)
     # the tombstone list is per-graph metadata, not data: small by design
     sl = sorted(g for g in base.unique("graph")

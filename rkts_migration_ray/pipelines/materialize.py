@@ -1,11 +1,16 @@
-"""Graph materialization: bucket-partitioned Parquet + manifests + resume.
+"""Graph materialization: bucket-partitioned graph files + manifests + resume.
 
 W1/W2/W5 analog (SURVEY.md §2.2): instead of one Turtle file per subject
 (utils.php:844-850) and one global append-only N-Quads fd (utils.php:833-840),
 the triple Dataset is hash-partitioned by subject into ``n_buckets``
-directories-of-one-file, each committed atomically with a lineage manifest
-(state/manifest.py). Blank-node renaming (Nquads.php:182-200) is unnecessary:
-minted ids are already deterministic content hashes (M7).
+directories-of-one-file (Parquet edge tables or N-Triples text), each
+committed atomically with a lineage manifest (state/manifest.py).
+Blank-node renaming (Nquads.php:182-200) is unnecessary: minted ids are
+already deterministic content hashes (M7).
+
+Two writers: ``write_graph`` is the one full-graph sink, and
+``write_fragments`` the map-only delta writer of ``update_graph``
+(generations, below).
 
 Resume semantics: a rerun lists committed buckets first and drops their rows
 right after the bucket-assignment map — upstream stages still stream, but no
@@ -23,6 +28,8 @@ slicing + write is ~10× cheaper.
 from __future__ import annotations
 
 import os
+import re
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -42,15 +49,89 @@ def add_bucket(batch: pa.Table, n_buckets: int) -> pa.Table:
 WRITTEN_SCHEMA = pa.schema([("bucket", pa.int32()), ("rows", pa.int64()),
                             ("checksum", pa.string()), ("skipped", pa.bool_())])
 
+GRAPH_FORMATS = ("parquet", "nt")
+_GRAPH_ENTRY = re.compile(r"bucket=\d+(\.manifest\.json)?")
+
+
+def _clear_graph(out_dir: str) -> None:
+    """Remove the graph state this module owns in ``out_dir`` (bucket dirs,
+    bucket manifests, the generation dir) and nothing else."""
+    if not os.path.isdir(out_dir):
+        return
+    for name in os.listdir(out_dir):
+        p = os.path.join(out_dir, name)
+        if name == GEN_DIRNAME or _GRAPH_ENTRY.fullmatch(name):
+            if os.path.isdir(p):
+                shutil.rmtree(p)
+            else:
+                os.remove(p)
+
+
+def _assert_bucket_count(done: dict, n_buckets: int, what: str) -> None:
+    """Committed buckets were hashed into ``n_buckets`` ranges, or rows would
+    land in the wrong bucket (skipped on resume, or read twice after an
+    update). Manifests from before the recorded count are judged by id."""
+    counts = {m.get("n_buckets") for m in done.values()} - {None, n_buckets}
+    if counts or (done and max(done) >= n_buckets):
+        raise ValueError(
+            f"{what}: the committed buckets (highest id {max(done)}, recorded "
+            f"counts {sorted(counts)}) do not fit n_buckets={n_buckets}; use "
+            f"the graph's bucket count, or resume=False (full rewrite)")
+
+
+def _commit_bucket_file(out_dir: str, bucket: int, fname: str, write,
+                       meta: dict, keep=frozenset()) -> None:
+    """Write ``bucket=K/<fname>`` through ``write(tmp_path)`` and a rename,
+    commit ``meta`` (listing that one file) as the bucket's manifest, then
+    delete the bucket's other data files: nothing lists them now, except the
+    generation fragments named in ``keep``. Until the manifest is renamed
+    in, the bucket reads as before."""
+    rel = os.path.join(f"bucket={bucket:05d}", fname)
+    final = os.path.join(out_dir, rel)
+    os.makedirs(os.path.dirname(final), exist_ok=True)
+    tmp = f"{final}.tmp.{os.getpid()}"
+    write(tmp)
+    os.rename(tmp, final)
+    mf.write_manifest(out_dir, bucket, dict(meta, file=rel, files=[rel]))
+    bdir = os.path.dirname(final)
+    for name in os.listdir(bdir):
+        if (name != fname and name.startswith(("frag-", "part"))
+                and os.path.join(bdir, name) not in keep):
+            os.remove(os.path.join(bdir, name))
+
 
 def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
-                resume: bool = True, source: str = "") -> pd.DataFrame:
-    """Write a triple Dataset → out_dir/bucket=K/part.parquet + manifests.
+                resume: bool = True, source: str = "",
+                fmt: str = "parquet") -> pd.DataFrame:
+    """Write a triple Dataset → out_dir/bucket=K/part.<fmt> + manifests, as
+    ONE execution: a range exchange on the subject-hash bucket, each task
+    writing whole buckets. ``fmt="parquet"`` writes edge tables;
+    ``fmt="nt"`` writes N-Triples text (W2), whose manifest records the
+    file size (text has no footer to verify) and whose checksum is taken
+    over the triple rows, so it equals the Parquet twin's.
 
+    ``resume=True`` skips the verified committed buckets (refusing another
+    source, hash function, bucket count or format); ``resume=False`` first
+    removes the graph state in ``out_dir``: buckets, manifests, generations.
     Returns the (small) manifest summary DataFrame."""
+    if fmt not in GRAPH_FORMATS:
+        raise ValueError(f"fmt must be one of {GRAPH_FORMATS}, not {fmt!r}")
+    keep: frozenset = frozenset()
+    if resume:
+        done, gens = graph_state(out_dir)
+        mf.assert_source_matches(done, source)
+        _assert_bucket_count(done, n_buckets, "resume refused")
+        other = sorted(b for b, m in done.items()
+                       if not m["file"].endswith(f".{fmt}"))
+        if other:
+            raise ValueError(f"resume refused: buckets {other} are not "
+                             f"{fmt!r} files; use resume=False")
+        keep = frozenset(os.path.join(out_dir, fr["file"])
+                         for g in gens for fr in g["fragments"])
+    else:
+        done = {}
+        _clear_graph(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    done = mf.committed_buckets(out_dir) if resume else {}
-    mf.assert_source_matches(done, source)
 
     ds = triples_ds.map_batches(lambda t: add_bucket(t, n_buckets),
                                 batch_format="pyarrow")
@@ -67,20 +148,23 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
     def write_bucket(t: pa.Table) -> dict:
         bucket = int(t["bucket"][0].as_py())
         table = t.select(TRIPLE_COLUMNS)
-        bdir = os.path.join(out_dir, f"bucket={bucket:05d}")
-        os.makedirs(bdir, exist_ok=True)
-        final = os.path.join(bdir, "part.parquet")
-        tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(table, tmp)
-        os.rename(tmp, final)
-        meta = {
-            "bucket": bucket,
-            "file": os.path.join(f"bucket={bucket:05d}", "part.parquet"),
-            "rows": int(table.num_rows),
-            "checksum": mf.content_checksum(table, TRIPLE_COLUMNS),
-            "source": source,
-        }
-        mf.write_manifest(out_dir, bucket, meta)
+        meta = {"bucket": bucket, "rows": int(table.num_rows),
+                "checksum": mf.content_checksum(table, TRIPLE_COLUMNS),
+                "source": source, "n_buckets": n_buckets}
+        if fmt == "nt":
+            from ..functions.ntriples import lines_table
+
+            payload = ("\n".join(lines_table(table)["line"].to_pylist())
+                       + "\n").encode()
+            meta["sizes"] = [len(payload)]
+
+            def write(p):
+                with open(p, "wb") as f:
+                    f.write(payload)
+        else:
+            def write(p):
+                pq.write_table(table, p)
+        _commit_bucket_file(out_dir, bucket, f"part.{fmt}", write, meta, keep)
         return {"bucket": bucket, "rows": meta["rows"],
                 "checksum": meta["checksum"], "skipped": False}
 
@@ -104,16 +188,21 @@ def write_graph(triples_ds, out_dir: str, n_buckets: int = 64,
             .sort_values("bucket").reset_index(drop=True))
 
 
-def write_fragments(triples_ds, out_dir: str, n_buckets: int,
-                    stream_tag: str, skip_buckets=frozenset()) -> pd.DataFrame:
-    """Map-only fragment write for ONE triple stream (no shuffle, no union).
+def write_graph_streams(streams: dict, out_dir: str, n_buckets: int = 64,
+                        resume: bool = True, source: str = "") -> pd.DataFrame:
+    """write_graph over the union of a dict of triple streams."""
+    first, *rest = streams.values()
+    return write_graph(first.union(*rest) if rest else first, out_dir,
+                       n_buckets, resume, source)
 
-    Returns the small per-fragment metadata frame; commit_manifests() merges
-    the frames of all streams into per-bucket manifests. Running each stream
-    as its own simple execution avoids the multi-branch union DAGs that wedge
-    the streaming executor at low CPU counts."""
+
+def write_fragments(triples_ds, out_dir: str, n_buckets: int,
+                    stream_tag: str) -> pd.DataFrame:
+    """Map-only fragment write of a graph delta (no shuffle): each block
+    writes one content-addressed ``frag-<tag>-<checksum>.parquet`` per
+    bucket it touches. Returns the small per-fragment metadata frame, which
+    update_graph commits as one generation file."""
     os.makedirs(out_dir, exist_ok=True)
-    done_set = frozenset(skip_buckets)
 
     def write_frags(t: pa.Table) -> pa.Table:
         t = add_bucket(t, n_buckets)
@@ -126,8 +215,6 @@ def write_fragments(triples_ds, out_dir: str, n_buckets: int,
         for i in range(len(edges) - 1):
             lo, hi = int(edges[i]), int(edges[i + 1])
             b = int(sb[lo])
-            if b in done_set:
-                continue
             frag = sorted_t.slice(lo, hi - lo).select(TRIPLE_COLUMNS)
             csum = mf.content_checksum(frag, TRIPLE_COLUMNS)
             bdir = os.path.join(out_dir, f"bucket={b:05d}")
@@ -150,291 +237,14 @@ def write_fragments(triples_ds, out_dir: str, n_buckets: int,
             .to_pandas())
 
 
-def commit_manifests(out_dir: str, frag_metas: list[pd.DataFrame],
-                     done: dict, source: str = "") -> pd.DataFrame:
-    """Merge fragment metadata of all streams → one manifest per bucket
-    (XOR-combined checksum, commutative) + stale-fragment cleanup. A 'bytes'
-    column (text sinks) is recorded as per-file 'sizes' for resume verify."""
-    frag_metas = [m for m in frag_metas if "bucket" in m.columns]
-    frag_meta = (pd.concat(frag_metas, ignore_index=True) if frag_metas
-                 else pd.DataFrame(columns=["bucket", "rows", "checksum", "file"]))
-    rows_out = []
-    for b, g in frag_meta.groupby("bucket"):
-        acc = 0
-        for c in g["checksum"]:
-            acc ^= int(c, 16)
-        g = g.sort_values("file")
-        files = list(g["file"])
-        meta = {"bucket": int(b), "file": files[0], "files": files,
-                "rows": int(g["rows"].sum()), "checksum": f"{acc:016x}",
-                "source": source}
-        if "bytes" in g.columns and g["bytes"].notna().all():
-            meta["sizes"] = [int(x) for x in g["bytes"]]
-        bdir = os.path.join(out_dir, f"bucket={int(b):05d}")
-        keep = {os.path.basename(f) for f in files}
-        for name in os.listdir(bdir):
-            if name.startswith("frag-") and name not in keep:
-                os.remove(os.path.join(bdir, name))
-        mf.write_manifest(out_dir, int(b), meta)
-        rows_out.append({"bucket": int(b), "rows": meta["rows"],
-                         "checksum": meta["checksum"], "skipped": False})
-    for b, m in done.items():
-        rows_out.append({"bucket": b, "rows": m["rows"],
-                         "checksum": m["checksum"], "skipped": True})
-    if not rows_out:  # nothing written, nothing previously committed
-        return pd.DataFrame(columns=["bucket", "rows", "checksum", "skipped"])
-    return (pd.DataFrame(rows_out).sort_values("bucket").reset_index(drop=True))
-
-
-def write_ntriples_fragments(triples_ds, out_dir: str, n_buckets: int,
-                             stream_tag: str,
-                             skip_buckets=frozenset()) -> pd.DataFrame:
-    """Map-only N-Triples TEXT fragment write — the W2 analog sink
-    (global.nt, utils.php:833-840) re-expressed as per-bucket ``.nt``
-    fragments under the same manifest/commit scheme as the Parquet writer.
-    Checksums are computed over the TRIPLE rows (order-insensitive XOR), so
-    a bucket's .nt manifest checksum equals its Parquet twin's."""
-    from ..functions.ntriples import lines_table
-
-    os.makedirs(out_dir, exist_ok=True)
-    done_set = frozenset(skip_buckets)
-
-    def write_frags(t: pa.Table) -> pa.Table:
-        t = add_bucket(t, n_buckets)
-        out = {"bucket": [], "rows": [], "checksum": [], "file": [], "bytes": []}
-        buckets = t["bucket"].to_numpy()
-        order = np.argsort(buckets, kind="stable")
-        sorted_t = t.take(pa.array(order))
-        sb = sorted_t["bucket"].to_numpy()
-        edges = np.concatenate([[0], np.nonzero(np.diff(sb))[0] + 1, [len(sb)]])
-        for i in range(len(edges) - 1):
-            lo, hi = int(edges[i]), int(edges[i + 1])
-            b = int(sb[lo])
-            if b in done_set:
-                continue
-            frag = sorted_t.slice(lo, hi - lo).select(TRIPLE_COLUMNS)
-            csum = mf.content_checksum(frag, TRIPLE_COLUMNS)
-            lines = lines_table(frag)["line"]
-            payload = ("\n".join(lines.to_pylist()) + "\n").encode()
-            bdir = os.path.join(out_dir, f"bucket={b:05d}")
-            os.makedirs(bdir, exist_ok=True)
-            fname = f"frag-{stream_tag}-{csum}.nt"
-            final = os.path.join(bdir, fname)
-            tmp = final + f".tmp.{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(payload)
-            os.rename(tmp, final)
-            out["bucket"].append(b)
-            out["rows"].append(hi - lo)
-            out["checksum"].append(csum)
-            out["file"].append(os.path.join(f"bucket={b:05d}", fname))
-            out["bytes"].append(len(payload))
-        return pa.table({"bucket": pa.array(out["bucket"], pa.int32()),
-                         "rows": pa.array(out["rows"], pa.int64()),
-                         "checksum": pa.array(out["checksum"], pa.string()),
-                         "file": pa.array(out["file"], pa.string()),
-                         "bytes": pa.array(out["bytes"], pa.int64())})
-
-    return (triples_ds.map_batches(write_frags, batch_format="pyarrow")
-            .to_pandas())
-
-
-def write_graph_ntriples(streams: dict, out_dir: str, n_buckets: int = 64,
-                         resume: bool = True, source: str = "") -> pd.DataFrame:
-    """Materialize the kg_bundle streams as bucket-partitioned N-Triples text
-    (the reference's real output format) with the same manifest/resume
-    machinery as write_graph_streams."""
-    os.makedirs(out_dir, exist_ok=True)
-    done = mf.committed_buckets(out_dir) if resume else {}
-    mf.assert_source_matches(done, source)
-    skip = frozenset(done)
-    metas = [write_ntriples_fragments(ds() if callable(ds) else ds,
-                                      out_dir, n_buckets, tag, skip_buckets=skip)
-             for tag, ds in _stream_jobs(streams)]
-    return commit_manifests(out_dir, metas, done, source)
-
-
-MAP_ONLY_STREAMS = ("structloc", "mentions")
-
-
-def _stream_jobs(streams: dict) -> list[tuple[str, object]]:
-    """kg_bundle streams → (tag, ds-or-thunk) write jobs.
-
-    Non-callable MAP_ONLY streams are unioned into one execution (each saved
-    execution is ~2-3s fixed executor overhead). Callable streams (lazy
-    checkpoint consumers) always run as their own job: resolving the thunk
-    inside the job's thread is what lets the independent streams overlap the
-    checkpoint barrier."""
-    jobs: list[tuple[str, object]] = []
-    maponly = [streams[t] for t in MAP_ONLY_STREAMS
-               if t in streams and not callable(streams[t])]
-    if maponly:
-        merged = maponly[0].union(*maponly[1:]) if len(maponly) > 1 else maponly[0]
-        jobs.append(("maponly", merged))
-    for tag, ds in streams.items():
-        if tag == "ckpt_root" or (tag in MAP_ONLY_STREAMS and not callable(ds)):
-            continue
-        jobs.append((tag, ds))
-    return jobs
-
-
-def write_graph_streams(streams: dict, out_dir: str, n_buckets: int = 64,
-                        resume: bool = True, source: str = "",
-                        overlap: bool = True) -> pd.DataFrame:
-    """Materialize a dict of triple streams (kg.kg_bundle output); manifests
-    commit once at the end. This is the headline write path.
-
-    Pure MAP-ONLY streams (no sort, no actor pool downstream) are safe to
-    union into a single execution — each saved execution is ~2-3s of fixed
-    executor overhead, which dominates the high-CPU wall time. Streams with
-    shuffles (conv windows, entity merge) each run as their own simple
-    execution: mixing sorts + actor pools + union in one DAG wedges the
-    streaming executor at low CPU counts (observed repeatedly at 8 CPUs).
-
-    ``overlap=True`` (the default; measured ~25% faster end-to-end at both
-    8 and 32 CPUs on sf0.1, identical output) drives the per-stream
-    executions from driver THREADS:
-    each execution is still its own simple DAG (no union wedge), but their
-    fixed executor startup/teardown overlaps instead of serializing — the
-    fixed-overhead term that caps scaling efficiency shrinks toward one
-    execution's worth. Fragment writes are path-disjoint (content-addressed
-    filenames carry the stream tag), and the manifest commit still happens
-    once, after every stream finishes."""
-    os.makedirs(out_dir, exist_ok=True)
-    done = mf.committed_buckets(out_dir) if resume else {}
-    mf.assert_source_matches(done, source)
-    skip = frozenset(done)
-    jobs = _stream_jobs(streams)
-
-    def write_one(tag, ds):
-        return write_fragments(ds() if callable(ds) else ds,
-                               out_dir, n_buckets, tag, skip_buckets=skip)
-
-    if overlap and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(jobs)) as ex:
-            futs = [ex.submit(write_one, tag, ds) for tag, ds in jobs]
-            metas = [f.result() for f in futs]
-    else:
-        metas = [write_one(tag, ds) for tag, ds in jobs]
-    return commit_manifests(out_dir, metas, done, source)
-
-
-def write_graph_sharded(triples_ds, out_dir: str, n_buckets: int = 64,
-                        resume: bool = True, source: str = "") -> pd.DataFrame:
-    """Shuffle-FREE bucket-partitioned write (the scale path).
-
-    Each map task splits its block by subject-hash bucket and writes one
-    content-addressed fragment file per (block, bucket):
-    ``bucket=K/frag-<checksum16>.parquet``. Only tiny per-fragment metadata
-    (bucket, rows, checksum, file) flows back to the driver, which XOR-merges
-    checksums (commutative) and commits one manifest per bucket — files not
-    listed in a committed manifest are stale garbage from interrupted runs
-    and are deleted at commit. Readers must read manifest-listed files only.
-
-    Compared to write_graph (range-partitioned sort): zero all-to-all, linear
-    scaling, write amplification 1×; the cost is ~blocks×buckets small files,
-    compacted on demand by compact_bucket() (per-bucket, embarrassingly
-    parallel, no shuffle).
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    done = mf.committed_buckets(out_dir) if resume else {}
-    mf.assert_source_matches(done, source)
-    done_set = frozenset(done)
-
-    def write_frags(t: pa.Table) -> pa.Table:
-        t = add_bucket(t, n_buckets)
-        out = {"bucket": [], "rows": [], "checksum": [], "file": []}
-        buckets = t["bucket"].to_numpy()
-        order = np.argsort(buckets, kind="stable")
-        sorted_t = t.take(pa.array(order))
-        sb = sorted_t["bucket"].to_numpy()
-        edges = np.concatenate([[0], np.nonzero(np.diff(sb))[0] + 1, [len(sb)]])
-        for i in range(len(edges) - 1):
-            lo, hi = int(edges[i]), int(edges[i + 1])
-            b = int(sb[lo])
-            if b in done_set:
-                continue
-            frag = sorted_t.slice(lo, hi - lo).select(TRIPLE_COLUMNS)
-            csum = mf.content_checksum(frag, TRIPLE_COLUMNS)
-            bdir = os.path.join(out_dir, f"bucket={b:05d}")
-            os.makedirs(bdir, exist_ok=True)
-            fname = f"frag-{csum}.parquet"
-            final = os.path.join(bdir, fname)
-            tmp = final + f".tmp.{os.getpid()}"
-            pq.write_table(frag, tmp)
-            os.rename(tmp, final)
-            out["bucket"].append(b)
-            out["rows"].append(hi - lo)
-            out["checksum"].append(csum)
-            out["file"].append(os.path.join(f"bucket={b:05d}", fname))
-        return pa.table({"bucket": pa.array(out["bucket"], pa.int32()),
-                         "rows": pa.array(out["rows"], pa.int64()),
-                         "checksum": pa.array(out["checksum"], pa.string()),
-                         "file": pa.array(out["file"], pa.string())})
-
-    frag_meta = (triples_ds.map_batches(write_frags, batch_format="pyarrow")
-                 .to_pandas())
-    if "bucket" not in frag_meta.columns:  # all batches skipped → no schema
-        frag_meta = pd.DataFrame(columns=["bucket", "rows", "checksum", "file"])
-    rows_out = []
-    for b, g in frag_meta.groupby("bucket"):
-        acc = 0
-        for c in g["checksum"]:
-            acc ^= int(c, 16)
-        files = sorted(g["file"])
-        meta = {"bucket": int(b), "file": files[0], "files": files,
-                "rows": int(g["rows"].sum()), "checksum": f"{acc:016x}",
-                "source": source}
-        # stale fragments from interrupted runs: anything not in the manifest
-        bdir = os.path.join(out_dir, f"bucket={int(b):05d}")
-        keep = {os.path.basename(f) for f in files}
-        for name in os.listdir(bdir):
-            if name.startswith("frag-") and name not in keep:
-                os.remove(os.path.join(bdir, name))
-        mf.write_manifest(out_dir, int(b), meta)
-        rows_out.append({"bucket": int(b), "rows": meta["rows"],
-                         "checksum": meta["checksum"], "skipped": False})
-    for b, m in done.items():
-        rows_out.append({"bucket": b, "rows": m["rows"],
-                         "checksum": m["checksum"], "skipped": True})
-    if not rows_out:  # nothing written, nothing previously committed
-        return pd.DataFrame(columns=["bucket", "rows", "checksum", "skipped"])
-    return (pd.DataFrame(rows_out).sort_values("bucket").reset_index(drop=True))
-
-
-def compact_bucket(out_dir: str, bucket: int) -> None:
-    """Optional compaction: merge a committed bucket's fragments into one
-    file and re-commit (content checksum unchanged — order-insensitive)."""
-    done = mf.committed_buckets(out_dir)
-    meta = done[bucket]
-    bdir = os.path.join(out_dir, f"bucket={bucket:05d}")
-    files = meta.get("files", [meta["file"]])
-    table = pa.concat_tables([pq.read_table(os.path.join(out_dir, f))
-                              for f in files])
-    final = os.path.join(bdir, "part.parquet")
-    tmp = final + f".tmp.{os.getpid()}"
-    pq.write_table(table, tmp)
-    os.rename(tmp, final)
-    new_meta = dict(meta, file=os.path.join(f"bucket={bucket:05d}", "part.parquet"),
-                    files=[os.path.join(f"bucket={bucket:05d}", "part.parquet")])
-    mf.write_manifest(out_dir, bucket, new_meta)
-    for f in files:
-        p = os.path.join(out_dir, f)
-        if os.path.basename(p) != "part.parquet" and os.path.exists(p):
-            os.remove(p)
-
-
 def write_bucket_adjacency(out_dir: str, bucket: int) -> str:
     """Build the bucket's ADJACENCY table (north-star 'adjacency + edge
     tables'): one row per subject with its edges as a list<struct(pred, obj,
     obj_lang, obj_dt, graph)>, written as ``adjacency.parquet`` next to the
-    bucket's edge fragments. Subject-hash bucketing guarantees every row of
-    a subject is in this bucket, so the build is bucket-local (per-bucket,
-    embarrassingly parallel across buckets — same contract as
-    compact_bucket). Atomic via tmp+rename; derived data, so resume just
-    rebuilds it."""
+    bucket's edge file. Subject-hash bucketing guarantees every row of a
+    subject is in this bucket, so the build is bucket-local (per-bucket,
+    embarrassingly parallel across buckets). Atomic via tmp+rename; derived
+    data, so resume just rebuilds it."""
     meta = mf.committed_buckets(out_dir).get(bucket)
     if meta is None:
         raise ValueError(f"bucket {bucket} has no committed manifest")
@@ -574,10 +384,7 @@ def update_graph(out_dir: str, delta_triples_ds, superseded_graphs,
     if not done:
         raise ValueError(f"update_graph: no committed base graph in {out_dir}")
     mf.assert_source_matches(done, "")  # hash-fp check only
-    if max(done) >= n_buckets:
-        raise ValueError(
-            f"update_graph: base has bucket {max(done)} >= n_buckets="
-            f"{n_buckets}; delta must use the base's bucket count")
+    _assert_bucket_count(done, n_buckets, "update_graph")
     # next generation = 1 + the high-water mark across BOTH live gen files
     # and the buckets' compacted_gen watermarks: compaction retires gen
     # files, and reusing a retired number would make the new fragments
@@ -749,26 +556,14 @@ def compact_graph(out_dir: str) -> pd.DataFrame:
                 tables.append(t)
         merged = pa.concat_tables(tables) if tables else pa.table(
             {c: pa.array([], pa.string()) for c in TRIPLE_COLUMNS})
-        bdir = os.path.join(out_dir, f"bucket={b:05d}")
-        os.makedirs(bdir, exist_ok=True)
-        fname = f"part-c{target_gen:04d}.parquet"
-        final = os.path.join(bdir, fname)
-        tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(merged, tmp)
-        os.rename(tmp, final)
         new_meta = dict(meta or {"bucket": b, "source": ""},
-                        file=os.path.join(f"bucket={b:05d}", fname),
-                        files=[os.path.join(f"bucket={b:05d}", fname)],
                         rows=int(merged.num_rows),
                         checksum=mf.content_checksum(merged, TRIPLE_COLUMNS),
                         compacted_gen=target_gen)
         new_meta.pop("sizes", None)
-        mf.write_manifest(out_dir, b, new_meta)
-        # the bucket's superseded data files are unreferenced now
-        for name in os.listdir(bdir):
-            if name != fname and not name.startswith("adjacency") \
-                    and (name.startswith("frag-") or name.startswith("part")):
-                os.remove(os.path.join(bdir, name))
+        # the bucket's folded data files are deleted once this commits
+        _commit_bucket_file(out_dir, b, f"part-c{target_gen:04d}.parquet",
+                           lambda p: pq.write_table(merged, p), new_meta)
         return {"bucket": b, "rows": new_meta["rows"],
                 "checksum": new_meta["checksum"], "skipped": False}
 

@@ -325,7 +325,9 @@ def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
     ONE Ray Data execution with no actor pool and no repartition, without
     Ray's "different schema" warning, and both runs write the same
     graph: identical per-bucket manifests whose rows add up to the DuckDB
-    kg_triples twin. SUBPROCESS, so the session's cluster is left alone."""
+    kg_triples twin. A `--format nt` run at 1 slot is one execution too,
+    with one part.nt per bucket and the same (rows, checksum) per bucket.
+    SUBPROCESS, so the session's cluster is left alone."""
     import subprocess
     import sys
 
@@ -336,11 +338,12 @@ def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
 
     fixtures.ensure_fixture("sf0.001")
     got = {}
-    for cpus in (1, 2):
-        out = str(tmp_path / f"graph{cpus}")
+    for cpus, fmt in ((1, "parquet"), (2, "parquet"), (1, "nt")):
+        out = str(tmp_path / f"graph{cpus}{fmt}")
         r = subprocess.run(
             [sys.executable, "-m", "rkts_migration_ray", "run", "--sf",
-             "sf0.001", "--out", out, "--no-resume", "--num-cpus", str(cpus)],
+             "sf0.001", "--out", out, "--no-resume", "--num-cpus", str(cpus),
+             "--format", fmt],
             capture_output=True, text=True, cwd=REPO_ROOT, timeout=240)
         assert r.returncode == 0, r.stderr[-500:]
         plans = [ln for ln in r.stderr.splitlines()
@@ -350,9 +353,13 @@ def test_cli_run_same_graph_at_one_and_two_slots(tmp_path):
         assert "Repartition" not in plans[0]
         assert not [ln for ln in r.stderr.splitlines()
                     if "different schema" in ln]
-        got[cpus] = {b: (m["rows"], m["checksum"])
-                     for b, m in mf.committed_buckets(out).items()}
-    assert len(got[1]) == 64 and got[1] == got[2]
+        done = mf.committed_buckets(out)
+        assert all(sorted(os.listdir(os.path.join(out, f"bucket={b:05d}")))
+                   == [f"part.{fmt}"] for b in done)
+        got[cpus, fmt] = {b: (m["rows"], m["checksum"])
+                          for b, m in done.items()}
+    ref = got[1, "parquet"]
+    assert len(ref) == 64 and ref == got[2, "parquet"] == got[1, "nt"]
     sql = oracles.kg_oracle_sql("sf0.001")["kg_triples"]
     (want,) = duckdb.sql(f"SELECT count(*) FROM ({sql})").fetchone()
-    assert sum(rows for rows, _ in got[1].values()) == want
+    assert sum(rows for rows, _ in ref.values()) == want

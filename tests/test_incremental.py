@@ -55,8 +55,7 @@ def _read(out_dir) -> pd.DataFrame:
 def base_graph(tmp_path):
     out = str(tmp_path / "g")
     base = _rows("A", "v1") + _rows("B", "v1") + _rows("C", "v1")
-    materialize.write_graph_sharded(_triples(base), out, n_buckets=8,
-                                    resume=False)
+    materialize.write_graph(_triples(base), out, n_buckets=8, resume=False)
     return out, base
 
 
@@ -187,8 +186,8 @@ def test_read_graph_over_generations_matches_tombstone_replay(tmp_path):
     out = str(tmp_path / "g")
     n_buckets = 64
     base = _rows("A", "v1", n=4) + _rows("B", "v1", n=4) + _rows("C", "v1", n=4)
-    materialize.write_graph_sharded(_triples(base), out, n_buckets=n_buckets,
-                                    resume=False)
+    materialize.write_graph(_triples(base), out, n_buckets=n_buckets,
+                            resume=False)
     written = set(mf.committed_buckets(out))
     fresh = next(f"s:E{i}" for i in range(1000) if int(hash_bucket(
         pa.array([f"s:E{i}"]), n_buckets)[0].as_py()) not in written)

@@ -52,14 +52,15 @@ def test_lines_table_assembly():
 
 def test_nt_sink_roundtrip_and_resume(sf_tag, tmp_path):
     out = str(tmp_path / "nt")
-    streams = kg.kg_bundle(sf_tag)
-    m1 = materialize.write_graph_ntriples(streams, out, n_buckets=8,
-                                          resume=False)
+    m1 = materialize.write_graph(kg.kg_triples_ds(sf_tag), out, n_buckets=8,
+                                 resume=False, fmt="nt")
     total = int(m1["rows"].sum())
     assert total > 0
     # line count across committed .nt files == manifest row total
     n_lines = 0
     for meta in mf.committed_buckets(out).values():
+        assert meta["files"] == [os.path.join(f"bucket={meta['bucket']:05d}",
+                                              "part.nt")]
         for f in meta["files"]:
             with open(os.path.join(out, f), "rb") as fh:
                 n_lines += fh.read().count(b"\n")
@@ -67,16 +68,15 @@ def test_nt_sink_roundtrip_and_resume(sf_tag, tmp_path):
     # triples-count parity with the Parquet twin
     assert total == kg.kg_triples_ds(sf_tag).count()
     # every line ends with ' .' and starts with '<'
-    some = open(glob.glob(out + "/bucket=*/frag-*.nt")[0]).read().splitlines()
+    some = open(glob.glob(out + "/bucket=*/part.nt")[0]).read().splitlines()
     assert all(s.endswith(" .") and s.startswith("<") for s in some)
-    # resume: truncate one fragment -> bucket rewritten, totals stable
-    frag = glob.glob(out + "/bucket=00003/frag-*.nt")[0]
-    with open(frag, "r+b") as fh:
+    # resume: truncate one bucket file -> bucket rewritten, totals stable
+    with open(out + "/bucket=00003/part.nt", "r+b") as fh:
         fh.truncate(10)
     assert 3 not in mf.committed_buckets(out)
-    streams = kg.kg_bundle(sf_tag)
-    m2 = materialize.write_graph_ntriples(streams, out, n_buckets=8,
-                                          resume=True)
+    m2 = materialize.write_graph(kg.kg_triples_ds(sf_tag), out, n_buckets=8,
+                                 resume=True, fmt="nt")
     assert int(m2["rows"].sum()) == total
     assert dict(zip(m1["bucket"], m1["checksum"])) == \
         dict(zip(m2["bucket"], m2["checksum"]))
+    assert 3 not in set(m2[m2["skipped"]]["bucket"])

@@ -264,22 +264,6 @@ def test_materialize_resume(sf_tag, tmp_path):
     assert dict(zip(m2["bucket"], m2["checksum"])) == sums1  # content identical
 
 
-def test_lazy_checkpoint_write_matches_eager(sf_tag, tmp_path):
-    """write_graph_streams over a lazy-checkpoint bundle (the bench headline
-    path: structloc/conv overlap the linked write barrier) must produce
-    bucket-for-bucket identical manifests to the eager-checkpoint bundle."""
-    out_e = str(tmp_path / "eager")
-    out_l = str(tmp_path / "lazy")
-    se = kg.kg_bundle(sf_tag, checkpoint_linked=True)
-    me = materialize.write_graph_streams(se, out_e, n_buckets=8, resume=False)
-    sl = kg.kg_bundle(sf_tag, checkpoint_linked=True, lazy_checkpoint=True)
-    assert callable(sl["mentions"]) and callable(sl["entities"])
-    ml = materialize.write_graph_streams(sl, out_l, n_buckets=8, resume=False)
-    assert int(me["rows"].sum()) == int(ml["rows"].sum())
-    assert (dict(zip(me["bucket"], me["checksum"]))
-            == dict(zip(ml["bucket"], ml["checksum"])))
-
-
 def test_entity_canonicalization(sf_tag):
     """Alias chains flatten to terminal ids; curated entities carry props."""
     df = kg.entity_triples_ds(sf_tag).to_pandas()

@@ -92,11 +92,9 @@ def main() -> None:
     t0 = time.perf_counter()
     th = threading.Thread(target=killer, daemon=True)
     th.start()
-    streams = kg.kg_bundle(args.sf, checkpoint_linked=True,
-                           lazy_checkpoint=True)
-    manifest = materialize.write_graph_streams(
-        streams, out_dir, n_buckets=64, resume=False,
-        source=fixtures.transcripts_path(args.sf), overlap=True)
+    manifest = materialize.write_graph(
+        kg.kg_triples_ds(args.sf), out_dir, n_buckets=64, resume=False,
+        source=fixtures.transcripts_path(args.sf))
     wall = time.perf_counter() - t0
     stop.set()
     ray.shutdown()

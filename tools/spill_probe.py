@@ -83,11 +83,9 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     t0 = time.perf_counter()
-    streams = kg.kg_bundle(args.sf, checkpoint_linked=True,
-                           lazy_checkpoint=True)
-    manifest = materialize.write_graph_streams(
-        streams, out_dir, n_buckets=64, resume=False,
-        source=fixtures.transcripts_path(args.sf), overlap=True)
+    manifest = materialize.write_graph(
+        kg.kg_triples_ds(args.sf), out_dir, n_buckets=64, resume=False,
+        source=fixtures.transcripts_path(args.sf))
     wall = time.perf_counter() - t0
     session_dir = ray._private.worker.global_worker.node.get_session_dir_path()
     counters = _spill_counters(session_dir)
